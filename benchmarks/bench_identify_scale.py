@@ -46,7 +46,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.enrollment import enroll_chip
-from repro.core.server import AuthenticationServer
+from repro.core.server import AuthenticationServer, dense_identify
 from repro.silicon.chip import PufChip, fabricate_lot
 
 if str(Path(__file__).parent) not in sys.path:  # standalone execution
@@ -156,14 +156,12 @@ def measure(n_identities: int, dense_reps: int, book_reps: int) -> Dict[str, flo
     replay = _ReplayResponder(book.stacked_challenges, transcript)
 
     # Warm both planes once (allocator, feature caches, device noise).
-    server.identify(replay, n_challenges=N_CHALLENGES, use_codebook=True)
-    server.identify(
-        probe, n_challenges=N_CHALLENGES, use_codebook=False, seed=999_999
-    )
+    server.identify(replay, n_challenges=N_CHALLENGES)
+    dense_identify(server, probe, n_challenges=N_CHALLENGES, seed=999_999)
 
     start = time.perf_counter()
     for _ in range(book_reps):
-        server.identify(replay, n_challenges=N_CHALLENGES, use_codebook=True)
+        server.identify(replay, n_challenges=N_CHALLENGES)
     t_book = (time.perf_counter() - start) / book_reps
 
     # Dense reps use a fresh seed each call: the plane invents fresh
@@ -172,9 +170,7 @@ def measure(n_identities: int, dense_reps: int, book_reps: int) -> Dict[str, flo
     # the very selector work the dense plane is being billed for.
     start = time.perf_counter()
     for rep in range(dense_reps):
-        server.identify(
-            probe, n_challenges=N_CHALLENGES, use_codebook=False, seed=800 + rep
-        )
+        dense_identify(server, probe, n_challenges=N_CHALLENGES, seed=800 + rep)
     t_dense = (time.perf_counter() - start) / dense_reps
 
     # The genuine transcript must clear the match threshold.
@@ -214,13 +210,12 @@ def check_regression_corpus() -> int:
     for chip_index in range(3):
         twin_a = fabricate_lot(N_PUFS, N_PUFS, N_STAGES, seed=650)[chip_index]
         twin_b = fabricate_lot(N_PUFS, N_PUFS, N_STAGES, seed=650)[chip_index]
-        dense = server.identify(
-            twin_a, n_challenges=N_CHALLENGES, seed=700,
-            use_codebook=False, return_scores=True,
+        dense = dense_identify(
+            server, twin_a, n_challenges=N_CHALLENGES, seed=700,
+            return_scores=True,
         )
         packed = server.identify(
-            twin_b, n_challenges=N_CHALLENGES, seed=700,
-            use_codebook=True, return_scores=True,
+            twin_b, n_challenges=N_CHALLENGES, seed=700, return_scores=True,
         )
         if dense.scores != packed.scores:
             raise AssertionError(

@@ -99,7 +99,7 @@ def build_serving(n_identities: int, seed: int = 600):
         for chip in lot
     ]
     service = AuthenticationService(
-        server, ServiceConfig(n_challenges=N_CHALLENGES), seed=701
+        server, ServiceConfig(n_challenges=N_CHALLENGES), seed=700
     )
     service.identify_many([replays[0]])  # warm codebook + allocator
     return service, replays

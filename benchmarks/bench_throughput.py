@@ -26,7 +26,7 @@ from scipy import stats
 
 from repro.bench import format_row, matrix, run_for_test
 from repro.core.enrollment import enroll_chip
-from repro.core.server import AuthenticationServer
+from repro.core.server import AuthenticationServer, dense_identify
 from repro.crp.challenges import random_challenges
 from repro.crp.transform import parity_features
 from repro.engine import EvaluationEngine
@@ -197,9 +197,13 @@ def identify_cell(ctx):
     repeats = ctx.params["repeats"]
     lot, server = _identify_fixture(n_identities)
 
+    # The dense sweep: every call re-runs each identity's selector.
     start = time.perf_counter()
     for r in range(repeats):
-        server.identify(lot[r % n_identities], n_challenges=n_challenges, seed=530 + r)
+        dense_identify(
+            server, lot[r % n_identities], n_challenges=n_challenges,
+            seed=530 + r,
+        )
     elapsed = time.perf_counter() - start
     n_crps = repeats * n_identities * n_challenges
     return {

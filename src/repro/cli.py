@@ -603,7 +603,7 @@ def _cmd_serve_shards(args: argparse.Namespace) -> int:
 
             # The full serving stack: concurrent client submissions ->
             # micro-batching front end -> service -> dispatcher
-            # submit/flush -> shard round-trip.  Under --chaos this is
+            # identify_many -> shard round-trip.  Under --chaos this is
             # the degraded-not-wrong contract exercised end to end.
             service = AuthenticationService(
                 server, ServiceConfig(n_challenges=args.n_challenges),

@@ -260,16 +260,14 @@ class CodebookRow:
         built from (staleness detection).
     challenges:
         ``(n_challenges, k)`` selected challenge block.
-    predicted:
-        ``(n_challenges,)`` predicted XOR bits (int8).
     packed:
-        ``(ceil(n_challenges / 8),)`` bit-packed *predicted* (uint8).
+        ``(ceil(n_challenges / 8),)`` bit-packed predicted XOR bits
+        (uint8).
     """
 
     chip_id: str
     fingerprint: str
     challenges: np.ndarray
-    predicted: np.ndarray
     packed: np.ndarray
 
 
@@ -283,10 +281,10 @@ class IdentificationCodebook:
     seed:
         Root seed of the per-identity selection streams.  Row ``c`` is
         selected with ``derive_generator(seed, "identify", c)`` -- the
-        *same* derivation as the dense per-call path, so a codebook
+        *same* derivation as the dense reference sweep, so a codebook
         built with seed ``s`` reproduces exactly the blocks
-        ``identify(..., seed=s)`` would have drawn.  Must be an int or
-        ``None`` (persisted alongside the rows).
+        :func:`~repro.core.server.dense_identify` draws from ``s``.
+        Must be an int or ``None`` (persisted alongside the rows).
     """
 
     def __init__(self, n_challenges: int = 64, seed: Optional[int] = None) -> None:
@@ -338,13 +336,6 @@ class IdentificationCodebook:
         return self._active.copy()
 
     @property
-    def active_ids(self) -> List[str]:
-        """Row identities that are serveable (not tombstoned)."""
-        if self._active is None:
-            return []
-        return [c for c, ok in zip(self._ids, self._active) if ok]
-
-    @property
     def revoked_ids(self) -> List[str]:
         """Identities this codebook knows to be revoked (sorted)."""
         return sorted(self._revoked)
@@ -353,10 +344,6 @@ class IdentificationCodebook:
     def n_bytes(self) -> int:
         """Packed bytes per row."""
         return (self.n_challenges + 7) // 8
-
-    def row(self, chip_id: str) -> CodebookRow:
-        """The stored row for *chip_id* (KeyError if absent)."""
-        return self._rows[chip_id]
 
     def row_position(self, chip_id: str) -> int:
         """Stacked-matrix row index of *chip_id* (KeyError if absent).
@@ -588,7 +575,6 @@ class IdentificationCodebook:
             chip_id=chip_id,
             fingerprint=fingerprint,
             challenges=np.ascontiguousarray(challenges),
-            predicted=np.ascontiguousarray(predicted, dtype=np.int8),
             packed=pack_responses(predicted),
         )
 
@@ -619,35 +605,6 @@ class IdentificationCodebook:
     # ------------------------------------------------------------------
     # Matching
     # ------------------------------------------------------------------
-    def match(self, responses: np.ndarray, *, use_lut: bool = False) -> np.ndarray:
-        """Scores of one device's stacked responses against every row.
-
-        *responses* holds the device's answers to
-        :attr:`stacked_challenges`, flat or shaped
-        ``(n_identities, n_challenges)``.  Returns ``(n_identities,)``
-        float64 match fractions in :attr:`ids` order.  Tombstoned rows
-        still get a score here (the matrix is contiguous); winners are
-        excluded at argmax time via :attr:`active_mask`.
-        """
-        return self.match_many(responses, use_lut=use_lut)[0]
-
-    def match_many(
-        self, responses: np.ndarray, *, use_lut: bool = False
-    ) -> np.ndarray:
-        """Batched scoring: ``(n_requests, n_identities)`` match fractions.
-
-        *responses* is ``(n_requests, n_identities, n_challenges)`` (a
-        single request may drop the leading axis).  All requests share
-        one packbits + XOR + popcount pass -- this is the "one matching
-        pass per epoch" of the batched serving APIs.
-        """
-        n = len(self._ids)
-        if n == 0:
-            raise RuntimeError("codebook is empty; sync it against a database")
-        responses = np.asarray(responses)
-        responses = responses.reshape(-1, n, self.n_challenges)
-        return self.match_packed(pack_responses(responses), use_lut=use_lut)
-
     def match_packed(
         self, packed: np.ndarray, *, use_lut: bool = False
     ) -> np.ndarray:
@@ -659,8 +616,11 @@ class IdentificationCodebook:
         read time keeps the per-item work cache-resident, instead of
         materializing one unpacked ``(n_requests, n_identities *
         n_challenges)`` grid that a large batch pushes out to DRAM.
-        Scores are bit-identical to :meth:`match_many` on the unpacked
-        bits.
+        Scores are bit-identical to the dense
+        ``(responses == predicted).mean`` comparison on the unpacked
+        bits.  Tombstoned rows still get a score here (the matrix is
+        contiguous); winners are excluded at argmax time via
+        :attr:`active_mask`.
         """
         n = len(self._ids)
         if n == 0:
@@ -768,19 +728,16 @@ class IdentificationCodebook:
         packed_predicted = data["predicted"]
         n_stages = int(data["n_stages"])
         book = cls(n_challenges=int(meta["n_challenges"]), seed=meta["seed"])
-        n = book.n_challenges
         for index, (chip_id, fingerprint) in enumerate(
             zip(meta["ids"], meta["fingerprints"])
         ):
             challenges = np.unpackbits(
                 packed_challenges[index], axis=-1, count=n_stages
             ).astype(np.int8)
-            predicted = np.unpackbits(packed_predicted[index], count=n)
             book._rows[chip_id] = CodebookRow(
                 chip_id=chip_id,
                 fingerprint=fingerprint,
                 challenges=np.ascontiguousarray(challenges),
-                predicted=predicted.astype(np.int8),
                 packed=np.ascontiguousarray(packed_predicted[index]),
             )
         book._restack(meta["ids"])

@@ -25,7 +25,7 @@ import bisect
 import dataclasses
 import json
 import time
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -40,7 +40,6 @@ from repro.core.authentication import (
 from repro.core.codebook import (
     CodebookPolicy,
     IdentificationCodebook,
-    _packed_distances,
     pack_responses,
 )
 from repro.core.enrollment import EnrollmentRecord, enroll_chip
@@ -63,6 +62,7 @@ __all__ = [
     "IdentificationResult",
     "ModelResponder",
     "UnknownChipError",
+    "dense_identify",
 ]
 
 #: File-name prefix of non-record artefacts inside a database directory
@@ -151,13 +151,21 @@ class AuthenticationServer:
             return self.enrolled_ids
         return [c for c in self.enrolled_ids if c not in self._revocations]
 
+    @property
+    def n_active(self) -> int:
+        """Number of enrolled, non-revoked identities (no list copy)."""
+        return len(self._records) - len(self._revocations)
+
     def record(self, chip_id: str) -> EnrollmentRecord:
         """The stored record for *chip_id* (revoked records included)."""
         try:
             return self._records[chip_id]
         except KeyError:
+            # Name the count, not the ids: the message must not grow
+            # with the fleet (the service copies it into audit detail).
             raise UnknownChipError(
-                f"chip {chip_id!r} is not enrolled; known: {self.enrolled_ids}"
+                f"chip {chip_id!r} is not enrolled "
+                f"({len(self._records)} identities enrolled)"
             ) from None
 
     def dirty_since(self, synced_epoch: Optional[int]) -> Optional[Set[str]]:
@@ -287,11 +295,6 @@ class AuthenticationServer:
             return LifecycleState.REVOKED
         return LifecycleState.ACTIVE
 
-    def _refuse_revoked(self, chip_id: str, operation: str) -> None:
-        revocation = self._revocations.get(chip_id)
-        if revocation is not None:
-            raise RevokedChipError(revocation, operation)
-
     # ------------------------------------------------------------------
     # Cached artefacts
     # ------------------------------------------------------------------
@@ -327,7 +330,11 @@ class AuthenticationServer:
         """The identification codebook for *n_challenges*.
 
         Created on first use (with *seed* fixing the per-identity
-        selection streams) and cached per block length.  Under the
+        selection streams) and cached per block length.  A *seed* that
+        differs from the cached book's raises :class:`ValueError`: the
+        book's blocks derive from its own seed only, so serving it
+        would silently score against blocks the caller did not ask
+        for.  ``seed=None`` accepts whatever book is cached.  Under the
         default (eager) policy any staleness is repaired here, before
         the codebook is returned -- incrementally, via the mutation
         journal, so the cost is proportional to what actually changed.
@@ -343,6 +350,11 @@ class AuthenticationServer:
         if book is None:
             book = IdentificationCodebook(n_challenges, seed=seed)
             self._codebooks[n_challenges] = book
+        elif seed is not None and book.seed != seed:
+            raise ValueError(
+                f"the {n_challenges}-challenge codebook was built with seed "
+                f"{book.seed}, but seed {seed} was requested"
+            )
         if book.synced_epoch != self._epoch:
             policy = self.codebook_policy
             if (
@@ -563,7 +575,9 @@ class AuthenticationServer:
                 )
         if max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
-        self._refuse_revoked(claimed_id, "authentication")
+        revocation = self._revocations.get(claimed_id)
+        if revocation is not None:
+            raise RevokedChipError(revocation, "authentication")
         selector = self.selector(claimed_id)
         for attempt in range(max_attempts):
             # Attempt 0 keeps the historical seed derivation so existing
@@ -601,88 +615,26 @@ class AuthenticationServer:
         n_challenges: int = 64,
         min_match_fraction: float = 0.95,
         condition: OperatingCondition = NOMINAL_CONDITION,
-        seed: SeedLike = None,
-        use_codebook: Optional[bool] = None,
+        seed: Optional[int] = None,
         return_scores: bool = False,
     ) -> IdentificationResult:
         """1:N identification: which enrolled chip is this device?
 
-        Sends one selected-challenge block per enrolled identity (each
-        identity's own models pick its challenges) in a single stacked
-        device query and scores the answers against each prediction.
-        The genuine chip matches its own record perfectly; every other
-        record sees a ~50 % coin-flip agreement, so the gap is
-        unambiguous whenever ``n_challenges`` is more than a few dozen.
-
-        Two data planes serve the request:
-
-        * the **codebook plane** (*use_codebook=True*, or the default
-          once a codebook is built and no per-call *seed* is given):
-          every identity's block was materialized once at sync time, so
-          the call is one device read plus one XOR + popcount pass over
-          the bit-packed codebook -- no selector runs at all;
-        * the **dense plane** (*use_codebook=False*, or automatically
-          when a per-call *seed* requests fresh blocks): each
-          identity's selector re-derives its block from
-          ``(seed, "identify", chip_id)``, exactly the historical
-          behaviour.
-
-        Both planes produce bit-identical scores for the same blocks,
-        and a codebook built with seed ``s`` uses exactly the blocks
-        the dense plane derives from ``s``.  Revoked identities can win
-        on neither plane: the dense sweep iterates :attr:`active_ids`,
-        the codebook plane masks tombstoned rows out of argmax.
-
-        Returns an :class:`IdentificationResult`; ``chip_id`` is
-        ``None`` when no identity clears *min_match_fraction* (an
-        unenrolled or heavily degraded device).  Ties are deterministic:
-        when two identities score identically, the lexicographically
-        lowest chip id wins.  Per-identity ``scores`` are built only on
-        *return_scores=True* -- at large enrolled populations the dict
-        itself is O(N) per request.
+        :meth:`identify_many` of one.  The genuine chip matches its own
+        codebook row perfectly; every other row sees a ~50 % coin-flip
+        agreement.  ``chip_id`` is ``None`` when no identity clears
+        *min_match_fraction*; ties go to the lexicographically lowest
+        chip id; revoked identities never win.  Per-identity ``scores``
+        are built only on *return_scores=True* (O(N) per request).
         """
-        if not self._records:
-            raise UnknownChipError("no identities enrolled")
-        if use_codebook is None:
-            use_codebook = seed is None and n_challenges in self._codebooks
-        if use_codebook:
-            book = self.codebook(
-                n_challenges,
-                seed=seed if isinstance(seed, (int, np.integer)) else None,
-            )
-            if not len(book):
-                # Every identity revoked: sync compacted the book to
-                # zero rows.  Same typed refusal as the dense plane,
-                # instead of a raw empty-codebook RuntimeError.
-                raise UnknownChipError("no active identities enrolled")
-            responses = np.asarray(
-                responder.xor_response(book.stacked_challenges, condition)
-            )
-            return self._best_match(
-                book.ids, book.match(responses),
-                min_match_fraction, return_scores,
-                active=book.active_mask,
-            )
-        ids = self.active_ids
-        if not ids:
-            raise UnknownChipError("no active identities enrolled")
-        blocks = [
-            self.selector(chip_id).select(
-                n_challenges, derive_generator(seed, "identify", chip_id)
-            )
-            for chip_id in ids
-        ]
-        # One stacked responder query plus one vectorized comparison for
-        # all identities.  Scores are bit-identical to the per-identity
-        # loop: each identity's selection generator is unchanged, and a
-        # numpy Generator fills a concatenated noise array with exactly
-        # the values the per-block calls would have drawn in sequence.
-        stacked = np.concatenate([challenges for challenges, _ in blocks])
-        predicted = np.stack([predicted for _, predicted in blocks])
-        responses = np.asarray(responder.xor_response(stacked, condition))
-        responses = responses.reshape(len(ids), n_challenges)
-        match = (responses == predicted).mean(axis=1)
-        return self._best_match(ids, match, min_match_fraction, return_scores)
+        return self.identify_many(
+            [responder],
+            n_challenges=n_challenges,
+            min_match_fraction=min_match_fraction,
+            condition=condition,
+            seed=seed,
+            return_scores=return_scores,
+        )[0]
 
     @staticmethod
     def _best_match(
@@ -743,15 +695,16 @@ class AuthenticationServer:
         device read each); all answers are then scored in **one**
         packed XOR + popcount pass against the codebook, so the
         per-request matching cost is amortized across the batch.
-        Results are identical to calling :meth:`identify` with
-        *use_codebook=True* once per responder.
+        Results are identical to calling :meth:`identify` once per
+        responder.  A codebook built with seed ``s`` holds exactly the
+        blocks :func:`dense_identify` derives from ``s``, so both
+        produce bit-identical scores for the same device answers.
+        Revoked identities are tombstoned out of argmax.
 
         *conditions* optionally gives each responder its own operating
         condition (the batching front end coalesces requests observed
         at different V/T points); it overrides *condition* per item.
         """
-        if not self._records:
-            raise UnknownChipError("no identities enrolled")
         book = self.codebook(n_challenges, seed=seed)
         if not len(book):
             raise UnknownChipError("no active identities enrolled")
@@ -787,69 +740,49 @@ class AuthenticationServer:
             for row in scores
         ]
 
-    def authenticate_many(
-        self,
-        responders: Sequence[Responder],
-        claimed_ids: Optional[Sequence[str]] = None,
-        *,
-        n_challenges: int = 64,
-        tolerance: int = ZERO_HAMMING_DISTANCE,
-        condition: OperatingCondition = NOMINAL_CONDITION,
-        seed: Optional[int] = None,
-    ) -> List[AuthResult]:
-        """Batched 1:1 verification over the codebook plane.
 
-        Each responder is read with its claimed identity's materialized
-        codebook block; all transcripts are then scored together with
-        one packed XOR + popcount pass.  This is the high-throughput
-        data plane for fleet-scale re-verification sweeps: codebook
-        blocks are **reused across sessions** (they are identification
-        blocks, not one-shot session challenges), so for the paper's
-        strict one-time-transcript protocol use
-        :meth:`authenticate` / the service layer instead.
-        """
-        if claimed_ids is None:
-            claimed_ids = [
-                getattr(responder, "chip_id", None) for responder in responders
-            ]
-            if any(chip_id is None for chip_id in claimed_ids):
-                raise ValueError(
-                    "a responder has no chip_id attribute; "
-                    "pass claimed_ids explicitly"
-                )
-        if len(claimed_ids) != len(responders):
-            raise ValueError(
-                f"{len(responders)} responders but {len(claimed_ids)} claimed ids"
-            )
-        if not responders:
-            return []
-        book = self.codebook(n_challenges, seed=seed)
-        rows = []
-        for chip_id in claimed_ids:
-            self._refuse_revoked(chip_id, "batched authentication")
-            self.record(chip_id)  # raises UnknownChipError for strangers
-            rows.append(book.row(chip_id))
-        responses = np.stack(
-            [
-                np.asarray(r.xor_response(row.challenges, condition))
-                for r, row in zip(responders, rows)
-            ]
+def dense_identify(
+    server: AuthenticationServer,
+    responder: Responder,
+    *,
+    n_challenges: int,
+    seed: SeedLike,
+    min_match_fraction: float = 0.95,
+    condition: OperatingCondition = NOMINAL_CONDITION,
+    return_scores: bool = False,
+) -> IdentificationResult:
+    """Reference 1:N identification: the dense per-identity selector sweep.
+
+    Every active identity re-selects its block from
+    ``(seed, "identify", chip_id)`` per call.  Not a serving path: the
+    oracle the codebook is checked against and the dense arm the
+    benchmarks time.  Scores equal :meth:`AuthenticationServer.identify`
+    against a codebook built with the same *seed*.
+    """
+    if not server.enrolled_ids:
+        raise UnknownChipError("no identities enrolled")
+    ids = server.active_ids
+    if not ids:
+        raise UnknownChipError("no active identities enrolled")
+    blocks = [
+        server.selector(chip_id).select(
+            n_challenges, derive_generator(seed, "identify", chip_id)
         )
-        packed = pack_responses(responses)
-        predicted = np.ascontiguousarray(np.stack([row.packed for row in rows]))
-        # Row-aligned packed scoring through the kernel backend (the
-        # numpy path is the former popcount-sum expression, bit for bit).
-        mismatches = _packed_distances(packed, predicted, use_lut=False)
-        return [
-            AuthResult(
-                approved=bool(count <= tolerance),
-                n_challenges=n_challenges,
-                n_mismatches=int(count),
-                tolerance=tolerance,
-                condition=condition,
-            )
-            for count in mismatches
-        ]
+        for chip_id in ids
+    ]
+    # One stacked responder query plus one vectorized comparison for
+    # all identities.  Scores are bit-identical to the per-identity
+    # loop: each identity's selection generator is unchanged, and a
+    # numpy Generator fills a concatenated noise array with exactly
+    # the values the per-block calls would have drawn in sequence.
+    stacked = np.concatenate([challenges for challenges, _ in blocks])
+    predicted = np.stack([predicted for _, predicted in blocks])
+    responses = np.asarray(responder.xor_response(stacked, condition))
+    responses = responses.reshape(len(ids), n_challenges)
+    match = (responses == predicted).mean(axis=1)
+    return AuthenticationServer._best_match(
+        ids, match, min_match_fraction, return_scores
+    )
 
 
 @dataclasses.dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """Supervised sharded identification fleet.
 
 Shared-memory codebook shards scored by supervised worker processes,
-fronted by a coalescing dispatcher whose merged results are
+fronted by a dispatcher whose merged results are
 bit-identical to single-process ``identify_many`` at full coverage and
 explicitly degraded (``coverage < 1.0``) when shards are down.
 """

@@ -40,9 +40,10 @@ class FleetConfig:
         the multiprocess path's computation.  Used by the bit-identity
         tests and the lifecycle simulator's sharded mode.
     max_pending:
-        Bounded request queue: the most responders a batch (or the
-        coalescing :meth:`~ShardDispatcher.submit` buffer) may hold.
-        One more raises a typed ``OverloadError`` -- load is shed
+        Batch bound: the most responders one
+        :meth:`~ShardDispatcher.identify_many` call may carry (the
+        service serves larger batches in bound-sized chunks).  One more
+        raises a typed ``OverloadError`` -- load is shed
         explicitly, never dropped silently.
     request_timeout:
         Per-request deadline (seconds): a shard that has not replied by

@@ -1,19 +1,21 @@
-"""The sharded identification front end: coalesce, dispatch, merge, degrade.
+"""The sharded identification back end: dispatch, merge, degrade.
 
 :class:`ShardDispatcher` is the single entry point of the fleet.  It
 owns the shared-memory segments, keeps them in sync with the server's
 mutation journal (content-only changes are written in place, membership
-changes re-partition), coalesces concurrent ``identify`` /
-``identify_many`` calls into one packed XOR + popcount pass per shard,
-and merges per-shard winners deterministically -- bit-identical to the
-single-process :meth:`AuthenticationServer.identify_many` when every
-shard answers.
+changes re-partition), scores each :meth:`~ShardDispatcher.identify_many`
+batch in one packed XOR + popcount pass per shard, and merges per-shard
+winners deterministically -- bit-identical to the single-process
+:meth:`AuthenticationServer.identify_many` when every shard answers.
+It keeps no request buffer of its own: concurrent traffic is coalesced
+upstream, by :class:`repro.service.BatchingFrontend`, and reaches the
+fleet as :meth:`AuthenticationService.identify_many` batches.
 
 Robustness contract:
 
-* **bounded queues** -- a batch (or the :meth:`submit` buffer) larger
-  than ``max_pending`` raises a typed :class:`OverloadError`; load is
-  shed explicitly and audibly (``OVERLOAD_SHED`` event), never dropped;
+* **bounded batches** -- a batch larger than ``max_pending`` raises a
+  typed :class:`OverloadError`; load is shed explicitly and audibly
+  (``OVERLOAD_SHED`` event), never dropped;
 * **per-request deadlines** -- a shard that misses ``request_timeout``
   is uncovered for that request and handed to the supervisor, which
   kills hung workers and respawns dead ones behind exponential backoff;
@@ -132,12 +134,11 @@ class ShardDispatcher:
         self._seed = seed
         self._faults = faults
         self._lock = threading.RLock()
-        self._pending: List[Tuple[object, Optional[OperatingCondition]]] = []
         self._req_seq = 0
         self._closed = False
         #: Packed scoring passes dispatched across the fleet (one per
-        #: coalesced batch, not one per request) -- the counter the
-        #: front-end coalescing regression test pins.
+        #: batch, not one per request) -- the counter the front-end
+        #: coalescing regression test pins.
         self.score_passes = 0
 
         self._book = self._synced_book()
@@ -408,55 +409,6 @@ class ShardDispatcher:
     def identify(self, responder, **kwargs) -> FleetIdentificationResult:
         """Identify one device (a coalesced batch of one)."""
         return self.identify_many([responder], **kwargs)[0]
-
-    def submit(
-        self, responder, condition: Optional[OperatingCondition] = None
-    ) -> int:
-        """Queue a device for the next coalesced pass; returns its slot.
-
-        *condition* optionally pins the operating condition this
-        device will be read at when the buffer is flushed (``None``
-        defers to :meth:`flush`'s batch-wide default) -- concurrent
-        clients observed at different V/T points can share one pass.
-
-        Raises :class:`OverloadError` (and records ``OVERLOAD_SHED``)
-        when the bounded buffer is full -- the caller must back off;
-        nothing is ever silently discarded.
-        """
-        with self._lock:
-            if len(self._pending) >= self.config.max_pending:
-                self.log.record(
-                    FleetOutcome.OVERLOAD_SHED,
-                    detail=(
-                        f"submit refused at {len(self._pending)} pending "
-                        f"(bound {self.config.max_pending})"
-                    ),
-                )
-                raise OverloadError(len(self._pending),
-                                    self.config.max_pending)
-            self._pending.append((responder, condition))
-            return len(self._pending) - 1
-
-    def flush(
-        self,
-        *,
-        condition: OperatingCondition = NOMINAL_CONDITION,
-        **kwargs,
-    ) -> List[FleetIdentificationResult]:
-        """Serve every queued device in one pass (slot-ordered results)."""
-        with self._lock:
-            batch, self._pending = self._pending, []
-            if not batch:
-                return []
-            return self.identify_many(
-                [responder for responder, _ in batch],
-                condition=condition,
-                conditions=[
-                    condition if pinned is None else pinned
-                    for _, pinned in batch
-                ],
-                **kwargs,
-            )
 
     def identify_many(
         self,

@@ -1,7 +1,7 @@
 """The micro-batching front end: coalesce concurrent traffic into packed passes.
 
 :class:`AuthenticationService` serves one request per call; its batched
-entry points (:meth:`~AuthenticationService.authenticate_many` /
+entry points (:meth:`~AuthenticationService.authenticate_batch` /
 :meth:`~AuthenticationService.identify_many`) amortize scoring across a
 batch -- but only if somebody *builds* the batch.  This module is that
 somebody: :class:`BatchingFrontend` accepts concurrent submissions from
@@ -39,10 +39,11 @@ Correctness contract -- batching is **invisible** in the results:
   call that ran out of time.
 
 With a shard fleet attached to the service, a drained identification
-run flows through :meth:`ShardDispatcher.submit` /
-:meth:`~ShardDispatcher.flush`, so one front-end flush costs one shard
-round-trip for the whole run -- per-shard passes coalesce *across*
-client requests.
+run flows through :meth:`ShardDispatcher.identify_many`, so one
+front-end drain costs one shard round-trip for the whole run --
+per-shard passes coalesce *across* client requests.  The front end is
+the only coalescing buffer: the dispatcher scores whatever batch it is
+handed.
 
 The batching policy (:class:`FrontendConfig`):
 

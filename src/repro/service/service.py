@@ -41,7 +41,7 @@ import numpy as np
 
 from repro.baselines.majority_vote import majority_vote_responses
 from repro.core.authentication import AuthResult, DeviceReadError, Responder
-from repro.core.codebook import pack_responses, popcount
+from repro.core.codebook import _packed_distances, pack_responses
 from repro.core.enrollment import EnrollmentRecord
 from repro.core.lifecycle import RevocationRecord, RevokedChipError
 from repro.core.selection import ChallengeSelector
@@ -54,7 +54,6 @@ from repro.faults import FaultPlan, Site
 from repro.service.budget import ChallengeBudget, PoolExhaustedError
 from repro.service.drift import MAX_RUNG, DriftMonitor, DriftPolicy
 from repro.service.events import AuditLog, AuthEvent, AuthOutcome, challenge_digests
-from repro.service.fleet.dispatcher import OverloadError
 from repro.service.resilience import CircuitBreaker, RateLimiter
 from repro.silicon.environment import NOMINAL_CONDITION, OperatingCondition
 from repro.utils.rng import SeedLike, derive_generator
@@ -363,7 +362,7 @@ class AuthenticationService:
         outcome = self._run_session(responder, claimed_id, condition, deadline)
         if isinstance(outcome, ServiceResult):
             return outcome
-        return self._score(outcome)
+        return self._score_packed([(0, outcome)])[0]
 
     def _run_session(
         self,
@@ -377,8 +376,8 @@ class AuthenticationService:
         Returns the completed (unscored) :class:`_Session`, or the
         request's final :class:`ServiceResult` when it never reached
         scoring (admission fast-fail, read exhaustion, deadline).
-        Shared by :meth:`authenticate` and :meth:`authenticate_many`;
-        the latter scores many sessions in one packed pass.
+        Shared by :meth:`authenticate` and :meth:`authenticate_batch`;
+        both score through :meth:`_score_packed`.
         """
         request = self._requests
         self._requests += 1
@@ -545,89 +544,37 @@ class AuthenticationService:
     def _score_packed(
         self,
         pending: Sequence[Tuple[int, _Session]],
-        results: List,
         sinks: Optional[Sequence[List[AuthEvent]]] = None,
-    ) -> None:
-        """Score completed sessions in one packed pass, in request order.
+    ) -> List[ServiceResult]:
+        """Score ``(slot, session)`` pairs in one packed pass, in order.
 
-        All sessions are bit-packed and XOR + popcount scored together;
-        each mismatch count is identical to the dense per-request
-        comparison, so :meth:`_score` renders bit-identical decisions.
-        *sinks* (slot-indexed, from :meth:`authenticate_batch`) routes
-        each slot's decision events into that slot's buffer.
+        All sessions are bit-packed and their mismatches counted by one
+        kernel-dispatched XOR + popcount pass; each count equals the
+        dense per-request comparison.  *sinks* (slot-indexed, from
+        :meth:`authenticate_batch`) routes each slot's decision events
+        into that slot's buffer.
         """
         if not pending:
-            return
+            return []
         packed_predicted = pack_responses(
             np.stack([session.predicted for _, session in pending])
         )
         packed_responses = pack_responses(
             np.stack([session.responses for _, session in pending])
         )
-        mismatches = popcount(
-            np.bitwise_xor(packed_responses, packed_predicted)
-        ).sum(axis=-1, dtype=np.int64)
+        mismatches = _packed_distances(
+            packed_responses, packed_predicted, use_lut=False
+        )
+        results = []
         for (index, session), count in zip(pending, mismatches):
             if sinks is not None:
                 self._emit_local.sink = sinks[index]
             try:
-                results[index] = self._score(session, n_mismatches=int(count))
+                results.append(self._score(session, int(count)))
             finally:
                 if sinks is not None:
                     self._emit_local.sink = None
-
-    def authenticate_many(
-        self,
-        responders: Sequence[Responder],
-        claimed_ids: Optional[Sequence[Optional[str]]] = None,
-        *,
-        condition: OperatingCondition = NOMINAL_CONDITION,
-        conditions: Optional[Sequence[OperatingCondition]] = None,
-        deadline: Optional[float] = None,
-        deadlines: Optional[Sequence[Optional[float]]] = None,
-    ) -> List[ServiceResult]:
-        """Batched supervised authentication sharing one scoring pass.
-
-        Every request keeps its own admission decision (breaker,
-        limiter, budget, deadline) and its own **fresh, never-replayed**
-        challenge set -- batching changes nothing about the protocol's
-        security posture.  What the batch shares is the scoring: all
-        sessions that completed a device read are bit-packed and
-        XOR + popcount scored in a single pass, then finalized in
-        request order.  Results are identical to calling
-        :meth:`authenticate` per request.
-
-        *conditions* / *deadlines* optionally give every request its
-        own operating condition and time budget (the batching front
-        end coalesces requests that arrived with different ones); each
-        overrides the batch-wide *condition* / *deadline* per item.
-        """
-        if claimed_ids is None:
-            claimed_ids = [None] * len(responders)
-        if len(claimed_ids) != len(responders):
-            raise ValueError(
-                f"{len(responders)} responders but {len(claimed_ids)} claimed ids"
-            )
-        conditions = self._per_item(
-            "conditions", len(responders), conditions, condition
-        )
-        deadlines = self._per_item(
-            "deadlines", len(responders), deadlines, deadline
-        )
-        results: List[Optional[ServiceResult]] = [None] * len(responders)
-        pending: List[Tuple[int, _Session]] = []
-        for index, (responder, claimed_id) in enumerate(
-            zip(responders, claimed_ids)
-        ):
-            outcome = self._run_session(
-                responder, claimed_id, conditions[index], deadlines[index]
-            )
-            if isinstance(outcome, ServiceResult):
-                results[index] = outcome
-            else:
-                pending.append((index, outcome))
-        self._score_packed(pending, results)
-        return [result for result in results if result is not None]
+        return results
 
     def authenticate_batch(
         self,
@@ -639,12 +586,24 @@ class AuthenticationService:
         deadline: Optional[float] = None,
         deadlines: Optional[Sequence[Optional[float]]] = None,
     ) -> List["ServiceResult | BaseException"]:
-        """:meth:`authenticate_many` with per-item exception capture.
+        """Batched supervised authentication sharing one scoring pass.
 
-        The coalescing front end's demux path: where
-        :meth:`authenticate_many` propagates the first raised exception
-        (aborting un-run batchmates), this variant runs *every*
-        request and returns, slot for slot, either its
+        Every request keeps its own admission decision (breaker,
+        limiter, budget, deadline) and its own **fresh, never-replayed**
+        challenge set -- batching changes nothing about the protocol's
+        security posture.  What the batch shares is the scoring: all
+        sessions that completed a device read are scored in a single
+        :meth:`_score_packed` pass, then finalized in request order.
+        Decisions are identical to calling :meth:`authenticate` per
+        request.
+
+        *conditions* / *deadlines* optionally give every request its
+        own operating condition and time budget (the batching front
+        end coalesces requests that arrived with different ones); each
+        overrides the batch-wide *condition* / *deadline* per item.
+
+        The coalescing front end's demux path: every request runs, and
+        the call returns, slot for slot, either its
         :class:`ServiceResult` or the exception it raised -- exactly
         the exception the same request would have raised as a
         sequential :meth:`authenticate` call (e.g. the typed
@@ -657,12 +616,9 @@ class AuthenticationService:
         earlier slot's decision in the log.  The flushed stream is
         exactly what sequential serving would have written.
         """
-        if claimed_ids is None:
-            claimed_ids = [None] * len(responders)
-        if len(claimed_ids) != len(responders):
-            raise ValueError(
-                f"{len(responders)} responders but {len(claimed_ids)} claimed ids"
-            )
+        claimed_ids = self._per_item(
+            "claimed ids", len(responders), claimed_ids, None
+        )
         conditions = self._per_item(
             "conditions", len(responders), conditions, condition
         )
@@ -693,7 +649,10 @@ class AuthenticationService:
                     results[index] = outcome
                 else:
                     pending.append((index, outcome))
-            self._score_packed(pending, results, sinks)
+            for (index, _), result in zip(
+                pending, self._score_packed(pending, sinks)
+            ):
+                results[index] = result
         finally:
             self._emit_local.sink = None
             with self._audit_lock:
@@ -724,12 +683,10 @@ class AuthenticationService:
         *conditions* optionally gives each responder its own operating
         condition, overriding *condition* per item.
 
-        With a fleet attached (:meth:`attach_fleet`) the batch is
-        driven through the dispatcher's coalescing buffer
-        (:meth:`~repro.service.fleet.ShardDispatcher.submit` /
-        :meth:`~repro.service.fleet.ShardDispatcher.flush`) instead of
-        the in-process codebook, so one service-level batch costs one
-        shard round-trip; a batch larger than the fleet's
+        With a fleet attached (:meth:`attach_fleet`) the batch goes to
+        :meth:`~repro.service.fleet.ShardDispatcher.identify_many`
+        instead of the in-process codebook, so one service-level batch
+        costs one shard round-trip; a batch larger than the fleet's
         ``max_pending`` bound is served in bound-sized passes rather
         than shed (identification rows are scored independently, so
         the split is invisible in the results).  Fleet results carry a
@@ -742,26 +699,17 @@ class AuthenticationService:
             "conditions", len(responders), conditions, condition
         )
         if self._fleet is not None:
+            bound = self._fleet.config.max_pending
             results = []
-            for responder, item_condition in zip(responders, conditions):
-                try:
-                    self._fleet.submit(responder, condition=item_condition)
-                except OverloadError:
-                    results.extend(
-                        self._fleet.flush(
-                            condition=condition,
-                            min_match_fraction=min_match_fraction,
-                            return_scores=return_scores,
-                        )
+            for first in range(0, len(responders), bound):
+                results.extend(
+                    self._fleet.identify_many(
+                        responders[first:first + bound],
+                        conditions=conditions[first:first + bound],
+                        min_match_fraction=min_match_fraction,
+                        return_scores=return_scores,
                     )
-                    self._fleet.submit(responder, condition=item_condition)
-            results.extend(
-                self._fleet.flush(
-                    condition=condition,
-                    min_match_fraction=min_match_fraction,
-                    return_scores=return_scores,
                 )
-            )
         else:
             results = self._server.identify_many(
                 responders,
@@ -772,6 +720,7 @@ class AuthenticationService:
                 seed=seed,
                 return_scores=return_scores,
             )
+        n_active = self._server.n_active
         for result, item_condition in zip(results, conditions):
             request = self._requests
             self._requests += 1
@@ -779,7 +728,7 @@ class AuthenticationService:
             coverage = getattr(result, "coverage", 1.0)
             detail = (
                 f"best match {result.match_fraction:.4f} across "
-                f"{len(self._server.active_ids)} identities"
+                f"{n_active} identities"
             )
             if coverage < 1.0:
                 detail += f" (degraded: coverage {coverage:.3f})"
@@ -982,14 +931,10 @@ class AuthenticationService:
             )
         return np.asarray(responder.xor_response(challenges, condition))
 
-    def _score(
-        self, session: _Session, n_mismatches: Optional[int] = None
-    ) -> ServiceResult:
-        """Score one completed session and apply its state transitions.
+    def _score(self, session: _Session, n_mismatches: int) -> ServiceResult:
+        """Apply one scored session's verdict and state transitions.
 
-        *n_mismatches* is passed by the batched path, which counts
-        mismatches for the whole batch in one packed popcount pass; the
-        count is identical to the dense comparison here.
+        *n_mismatches* comes from :meth:`_score_packed`'s packed pass.
         """
         request = session.request
         chip_id = session.chip_id
@@ -998,13 +943,9 @@ class AuthenticationService:
         attempts = session.attempts
         spent = session.spent
         challenges = session.challenges
-        predicted = session.predicted
         digests = session.digests
-        responses = session.responses
         condition = session.condition
         start = session.start
-        if n_mismatches is None:
-            n_mismatches = int((responses != predicted).sum())
         approved = n_mismatches <= self.config.tolerance
         state.breaker.record_success()
         if approved:

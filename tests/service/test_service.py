@@ -332,22 +332,60 @@ class TestDegradationLadder:
         assert responder.reads == 5
 
 
+def request_mix(chip):
+    """Fresh responders: genuine, impostor, one failed read, genuine."""
+    return [chip, InvertingResponder(chip), flaky(chip, 1), chip]
+
+
 class TestBatchedServing:
-    def test_authenticate_many_equals_per_request(
+    def test_authenticate_batch_equals_per_request(
         self, make_service, enrolled_chip_and_record
     ):
-        """One packed scoring pass, identical verdicts and scores."""
+        """One packed scoring pass, identical verdicts and scores.
+
+        A batch of one is exactly the sequential call: same result and
+        same audit event stream, a failed-read retry included.
+        """
         chip, _ = enrolled_chip_and_record
-        batch = [chip, InvertingResponder(chip), chip]
         service, _ = make_service()
-        batched = service.authenticate_many(batch)
+        batched = service.authenticate_batch(request_mix(chip))
         service_ref, _ = make_service()
-        singles = [service_ref.authenticate(r) for r in batch]
+        singles = [service_ref.authenticate(r) for r in request_mix(chip)]
         assert [r.outcome for r in batched] == [r.outcome for r in singles]
         assert [r.auth.n_mismatches for r in batched] == [
             r.auth.n_mismatches for r in singles
         ]
-        assert [r.approved for r in batched] == [True, False, True]
+        assert [r.approved for r in batched] == [True, False, True, True]
+        assert [r.attempts for r in batched] == [1, 1, 2, 1]
+        assert len(service.audit.with_outcome(AuthOutcome.READ_FAILED)) == 1
+
+        for index in range(len(request_mix(chip))):
+            batch_service, _ = make_service()
+            single_service, _ = make_service()
+            [from_batch] = batch_service.authenticate_batch(
+                [request_mix(chip)[index]]
+            )
+            single = single_service.authenticate(request_mix(chip)[index])
+            assert from_batch == single  # outcome, n_mismatches, all fields
+            assert batch_service.audit.events == single_service.audit.events
+
+    def test_pool_exhaustion_raises_typed_in_both_paths(
+        self, make_service, enrolled_chip_and_record
+    ):
+        """The batch hands back the exact exception the call raises."""
+        chip, _ = enrolled_chip_and_record
+        service, _ = make_service(pool_capacity=100)
+        approved, refused = service.authenticate_batch([chip, chip])
+        assert approved.approved
+        assert isinstance(refused, PoolExhaustedError)
+        service_ref, _ = make_service(pool_capacity=100)
+        assert service_ref.authenticate(chip).approved
+        with pytest.raises(PoolExhaustedError, match="refusing to replay"):
+            service_ref.authenticate(chip)
+        assert str(refused) == str(
+            service_ref.audit.with_outcome(AuthOutcome.POOL_EXHAUSTED)[0].detail
+        )
+        assert service.audit.events == service_ref.audit.events
 
     def test_batch_keeps_no_replay_invariant(
         self, make_service, enrolled_chip_and_record
@@ -355,7 +393,7 @@ class TestBatchedServing:
         """Every batched session still gets a fresh challenge set."""
         chip, _ = enrolled_chip_and_record
         service, _ = make_service()
-        service.authenticate_many([chip] * 4)
+        service.authenticate_batch([chip] * 4)
         digests = service.audit.issued_digests(chip.chip_id)
         assert len(digests) == 4 * service.config.n_challenges
         assert len(set(digests)) == len(digests)
@@ -373,7 +411,7 @@ class TestBatchedServing:
                 return np.zeros(len(challenges), dtype=np.int8)
 
         service, _ = make_service()
-        results = service.authenticate_many([chip, Anonymous(), chip])
+        results = service.authenticate_batch([chip, Anonymous(), chip])
         assert [r.outcome for r in results] == [
             AuthOutcome.APPROVED,
             AuthOutcome.UNKNOWN_CHIP,
@@ -394,6 +432,36 @@ class TestBatchedServing:
         assert all(event.digests == () for event in events)
         # Identification issues no session challenges: no-replay holds.
         assert service.audit.replayed_digests() == {}
+
+    def test_identify_audit_counts_without_copying_ids(
+        self, enrolled_chip_and_record, monkeypatch
+    ):
+        """The audit detail's active count costs O(1), not an id list."""
+        import dataclasses
+
+        chip, record = enrolled_chip_and_record
+        server = AuthenticationServer()
+        for alias in ("alias-a", "alias-b", "alias-c"):
+            server.register(dataclasses.replace(record, chip_id=alias))
+        service = AuthenticationService(
+            server,
+            ServiceConfig(max_requests_per_window=0, lockout_threshold=0),
+            seed=907, clock=VirtualClock(),
+        )
+        service.revoke("alias-a")
+
+        def copied(self):
+            raise AssertionError("identify_many copied the id list")
+
+        monkeypatch.setattr(AuthenticationServer, "active_ids", property(copied))
+        monkeypatch.setattr(
+            AuthenticationServer, "enrolled_ids", property(copied)
+        )
+        results = service.identify_many([chip, chip])
+        assert [r.chip_id for r in results] == ["alias-b"] * 2
+        events = service.audit.with_outcome(AuthOutcome.IDENTIFIED)
+        assert len(events) == 2
+        assert all(e.detail.endswith("across 2 identities") for e in events)
 
 
 class TestRetighteningCommit:
