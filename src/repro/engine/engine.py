@@ -319,19 +319,6 @@ class EvaluationEngine:
             mask[start:stop] = stable.all(axis=(0, 1))
         return mask
 
-    def noise_free_responses(
-        self,
-        pufs: Sequence[ArbiterPuf],
-        challenges: np.ndarray,
-        condition: OperatingCondition = NOMINAL_CONDITION,
-    ) -> np.ndarray:
-        """``(n_pufs, n)`` noise-free responses, chunked with shared phi."""
-        pufs, challenges, _ = self._check_grid(pufs, challenges, [condition])
-        out = np.empty((len(pufs), len(challenges)), dtype=np.int8)
-        for (start, stop), chunk in self._noise_free_chunks(pufs, challenges, condition):
-            out[:, start:stop] = chunk
-        return out
-
     def noise_free_xor_response(
         self,
         xor_puf: XorArbiterPuf,

@@ -24,7 +24,12 @@ compromising the zero-HD protocol's no-replay invariant.
 * :mod:`repro.service.budget` -- never-used challenge-pool accounting;
 * :mod:`repro.service.events` -- structured audit events;
 * :mod:`repro.service.simulation` -- the ``serve-sim`` traffic replay
-  (drifting V/T schedule, injected faults, reliability report);
+  (drifting V/T schedule, injected faults, reliability report) and the
+  core all three simulations (``serve-sim``, ``lifecycle-sim``,
+  ``serve-shards``) share: the virtual clock, the front end built from
+  a client count, one serving loop through the service, and one gated
+  report (``gates`` + ``passed``, from which the CLI's exit code is
+  read);
 * :mod:`repro.service.lifecycle` -- the fleet-lifecycle chaos driver
   (enrollment churn, aging-driven retighten storms, revocation waves,
   persistence chaos, gated acceptance report);

@@ -30,9 +30,6 @@ class FleetConfig:
         (trailing shards are empty).
     n_challenges:
         Identification block length per identity (the codebook key).
-    min_match_fraction:
-        Default identification threshold, exactly as in
-        :meth:`~repro.core.server.AuthenticationServer.identify_many`.
     inline:
         ``True`` executes every shard's scoring pass in the calling
         process over the same shared-memory segments, with no worker
@@ -67,7 +64,6 @@ class FleetConfig:
 
     n_shards: int = 2
     n_challenges: int = 64
-    min_match_fraction: float = 0.95
     inline: bool = False
     max_pending: int = 64
     request_timeout: float = 5.0
@@ -81,11 +77,6 @@ class FleetConfig:
         check_positive_int(self.n_shards, "n_shards")
         check_positive_int(self.n_challenges, "n_challenges")
         check_positive_int(self.max_pending, "max_pending")
-        if not 0.0 <= self.min_match_fraction <= 1.0:
-            raise ValueError(
-                "min_match_fraction must lie in [0, 1], got "
-                f"{self.min_match_fraction}"
-            )
         for name in ("request_timeout", "heartbeat_interval",
                      "heartbeat_timeout"):
             if getattr(self, name) <= 0:

@@ -406,19 +406,6 @@ class ArbiterPuf:
         noise = rng.normal(0.0, self.noise.sigma_at(condition), size=delta.shape)
         return (delta + noise > 0).astype(np.int8)
 
-    def eval_counts_from_features(
-        self,
-        phi: np.ndarray,
-        n_trials: int,
-        condition: OperatingCondition = NOMINAL_CONDITION,
-        rng: Optional[np.random.Generator] = None,
-    ) -> np.ndarray:
-        """Counter value over *n_trials* from a precomputed feature matrix."""
-        n_trials = check_positive_int(n_trials, "n_trials")
-        rng = self.rng if rng is None else rng
-        p = self.response_probability_from_features(phi, condition)
-        return rng.binomial(n_trials, p).astype(np.int64)
-
     def eval_counts(
         self,
         challenges: np.ndarray,

@@ -200,19 +200,6 @@ class XorArbiterPuf:
         responses = [puf.eval(challenges, condition, rng) for puf in self.pufs]
         return np.bitwise_xor.reduce(np.stack(responses), axis=0)
 
-    def individual_eval(
-        self,
-        challenges: np.ndarray,
-        condition: OperatingCondition = NOMINAL_CONDITION,
-        rng: Optional[np.random.Generator] = None,
-    ) -> np.ndarray:
-        """``(n_pufs, n_challenges)`` noisy per-constituent responses.
-
-        Only legitimately reachable during enrollment (through the fuse
-        gate in :class:`~repro.silicon.chip.PufChip`).
-        """
-        return np.stack([puf.eval(challenges, condition, rng) for puf in self.pufs])
-
     def stable_mask(
         self,
         challenges: np.ndarray,

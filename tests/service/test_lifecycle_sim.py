@@ -32,8 +32,6 @@ class TestLifecycleSmoke:
     def test_config_validation(self):
         with pytest.raises(ValueError, match="ticks"):
             LifecycleConfig(ticks=0)
-        with pytest.raises(ValueError, match="storm betas"):
-            LifecycleConfig(storm_beta0=1.5)
 
     def test_quick_life_passes_gates(self, tmp_path):
         report = run_lifecycle_sim(QUICK, seed=11, workdir=tmp_path / "db")
@@ -76,6 +74,19 @@ class TestLifecycleSmoke:
         assert stats["shed"] == 0
         assert stats["batches"] > 0
         assert stats["submitted"] > 0
+
+    def test_sharded_life_survives_deferred_enrollment(self):
+        # A chip enrolled into the deferred codebook is still pending when
+        # the fleet refreshes; the fleet must drain it then, or the next
+        # maintenance sync grows the book under the shard segments.
+        config = dataclasses.replace(
+            QUICK, sharded=True, enroll_interval=2, revoke_interval=0
+        )
+        report = run_lifecycle_sim(config, seed=11)
+        assert report.passed, report.gates
+        assert report.enrolled_total == QUICK.n_chips + 2
+        assert report.params["fleet"]["min_coverage"] == 1.0
+        assert report.params["identified_misses"] == 0
 
 
 @pytest.mark.chaos

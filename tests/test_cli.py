@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import build_parser, finish_report, main
 
 
 class TestParser:
@@ -93,6 +93,23 @@ class TestCommands:
         assert "no challenge replayed: True" in out
         assert report.exists()
 
+    def test_serve_shards_passes(self, capsys, tmp_path):
+        import json
+
+        report = tmp_path / "shards.json"
+        code = main(
+            ["serve-shards", "--chips", "2", "--shards", "2",
+             "--batches", "1", "--report", str(report)]
+        )
+        capsys.readouterr()
+        assert code == 0
+        payload = json.loads(report.read_text())
+        assert payload["passed"] is True
+        assert set(payload["gates"]) == {
+            "wrong_identifications", "final_coverage",
+        }
+        assert all(gate["ok"] for gate in payload["gates"].values())
+
     def test_revoke_round_trip(self, capsys, tmp_path):
         db = tmp_path / "db"
         assert main(
@@ -117,3 +134,30 @@ class TestCommands:
         out = capsys.readouterr().out
         assert code == 0
         assert "flip rate" in out
+
+
+class TestFinishReport:
+    def test_all_gates_ok_exits_zero(self, capsys):
+        report = {"gates": {
+            "a": {"value": 0, "bound": 0, "ok": True},
+            "b": {"value": 1.0, "bound": 1.0, "ok": True},
+        }}
+        assert finish_report(report) == 0
+        assert "FAIL" not in capsys.readouterr().err
+
+    def test_failing_gate_exits_one_with_one_fail_line(self, capsys, tmp_path):
+        import json
+
+        report = {"gates": {
+            "coverage": {"value": 1.0, "bound": 1.0, "ok": True},
+            "wrong_ids": {"value": 2, "bound": 0, "ok": False},
+        }}
+        path = tmp_path / "report.json"
+        assert finish_report(report, str(path)) == 1
+        fail_lines = [
+            line for line in capsys.readouterr().err.splitlines()
+            if line.startswith("FAIL:")
+        ]
+        assert len(fail_lines) == 1
+        assert "wrong_ids" in fail_lines[0]
+        assert json.loads(path.read_text()) == report
