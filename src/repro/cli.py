@@ -582,21 +582,24 @@ def _cmd_serve_shards(args: argparse.Namespace) -> int:
         print(f"fleet up: {dispatcher.shard_states()}")
         service.attach_fleet(dispatcher)
         frontend = make_frontend(service, args.clients, print)
-        for batch in range(args.batches):
-            results = list(
-                serve(service, lot, identify=True, frontend=frontend)
-            )
-            named = [
-                (r.chip_id, chip.chip_id) for r, chip in zip(results, lot)
-            ]
-            hits = sum(got == true for got, true in named)
-            wrong += sum(got not in (None, true) for got, true in named)
-            coverage = min(r.coverage for r in results)
-            batches.append({"batch": batch, "hits": hits,
-                            "coverage": coverage})
-            print(f"batch {batch}: {hits}/{len(lot)} identified, "
-                  f"coverage {coverage:.3f}")
-        frontend_stats = close_frontend(frontend)
+        try:
+            for batch in range(args.batches):
+                results = list(
+                    serve(service, lot, identify=True, frontend=frontend)
+                )
+                named = [
+                    (r.chip_id, chip.chip_id)
+                    for r, chip in zip(results, lot)
+                ]
+                hits = sum(got == true for got, true in named)
+                wrong += sum(got not in (None, true) for got, true in named)
+                coverage = min(r.coverage for r in results)
+                batches.append({"batch": batch, "hits": hits,
+                                "coverage": coverage})
+                print(f"batch {batch}: {hits}/{len(lot)} identified, "
+                      f"coverage {coverage:.3f}")
+        finally:
+            frontend_stats = close_frontend(frontend)
         final_coverage = batches[-1]["coverage"] if batches else 0.0
         status = dispatcher.status()
     print(f"events: {status['events']}")

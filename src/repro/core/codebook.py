@@ -36,6 +36,10 @@ next sync compacts the row away so the codebook converges to exactly
 the matrix a from-scratch rebuild over the surviving identities would
 produce.
 
+Naming a winner is one rule, :func:`best_matches`, for every plane: the
+server over its whole codebook, each fleet shard over its row slice,
+and the dense reference sweep.
+
 Persistence is crash-safe (PR 2's tmp + fsync + rename pattern with an
 embedded SHA-256 payload checksum): a save interrupted mid-write leaves
 the previous generation loadable, and corrupt bytes on disk surface as
@@ -73,7 +77,9 @@ from repro.utils.validation import check_positive_int
 __all__ = [
     "CodebookPolicy",
     "IdentificationCodebook",
+    "IdentificationResult",
     "CodebookRow",
+    "best_matches",
     "pack_responses",
     "popcount",
     "packed_match_fractions",
@@ -206,6 +212,90 @@ def _packed_distances(
 
 
 @dataclasses.dataclass(frozen=True)
+class IdentificationResult:
+    """Outcome of a 1:N identification.
+
+    Attributes
+    ----------
+    chip_id:
+        Best-matching enrolled identity, or ``None`` if nothing cleared
+        the match threshold.
+    match_fraction:
+        Per-challenge agreement of the best candidate.
+    scores:
+        ``chip_id -> match fraction`` for every active identity, or
+        ``None`` unless the caller opted in with ``return_scores=True``
+        (building the dict is O(N) per request at scale).
+    coverage:
+        Fraction of active codebook rows searched: ``1.0`` except for
+        a shard fleet with shards down, whose answer is then
+        best-effort over the surviving shards.
+    uncovered_shards:
+        The fleet shards that did not answer (empty at full coverage).
+    """
+
+    chip_id: Optional[str]
+    match_fraction: float
+    scores: Optional[Dict[str, float]] = None
+    coverage: float = 1.0
+    uncovered_shards: Tuple[int, ...] = ()
+
+    @property
+    def degraded(self) -> bool:
+        """Whether any active rows went unsearched."""
+        return self.coverage < 1.0
+
+
+def best_matches(
+    ids: Sequence,
+    match: np.ndarray,
+    active: Optional[np.ndarray],
+    min_match_fraction: float,
+    *,
+    return_scores: bool = False,
+) -> List[IdentificationResult]:
+    """The identification decision for a batch of score rows.
+
+    *match* is a ``(n_requests, len(ids))`` match-fraction matrix whose
+    columns follow *ids* in ascending order.  Rows with a ``False``
+    *active* entry (tombstones) never win; the first-occurrence best
+    of each request wins, so the lowest id breaks ties; a best below
+    *min_match_fraction* names no one.  Without an active row the
+    result is ``(None, 0.0)``.  *ids* labels the winners: chip ids
+    for a whole codebook, global row numbers for a fleet shard (which
+    holds no ids).  ``scores`` are built only on *return_scores*.
+    """
+    match = np.asarray(match)
+    if active is not None and active.all():
+        active = None
+    if not len(ids) or (active is not None and not active.any()):
+        return [
+            IdentificationResult(None, 0.0, {} if return_scores else None)
+            for _ in range(len(match))
+        ]
+    masked = match if active is None else np.where(active, match, -1.0)
+    best = masked.argmax(axis=1)
+    best_scores = match[np.arange(len(match)), best].tolist()
+    results = []
+    for request, (index, score) in enumerate(zip(best.tolist(), best_scores)):
+        scores = None
+        if return_scores:
+            scores = {
+                chip_id: float(value)
+                for position, (chip_id, value) in enumerate(
+                    zip(ids, match[request])
+                )
+                if active is None or active[position]
+            }
+        results.append(IdentificationResult(
+            chip_id=ids[index] if score >= min_match_fraction else None,
+            match_fraction=score,
+            scores=scores,
+        ))
+    return results
+
+
+@dataclasses.dataclass(frozen=True)
 class CodebookPolicy:
     """How eagerly a server keeps its codebooks in sync with the records.
 
@@ -223,10 +313,6 @@ class CodebookPolicy:
         Deferred mode's staleness bound: the serving path serves a
         stale codebook only while the number of pending dirty rows is
         at or below this; one row more forces a sync on the spot.
-    rebuild_batch:
-        Row-build cap per maintenance sync step (``None`` = drain
-        everything).  Bounds the latency of a single
-        ``sync_codebooks`` call during a retighten storm.
 
     Revocations are **never** deferred: a revoked identity is
     tombstoned out of every built codebook at revoke time, whatever the
@@ -236,15 +322,12 @@ class CodebookPolicy:
 
     deferred: bool = False
     max_stale_rows: int = 64
-    rebuild_batch: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.max_stale_rows < 0:
             raise ValueError(
                 f"max_stale_rows must be >= 0, got {self.max_stale_rows}"
             )
-        if self.rebuild_batch is not None:
-            check_positive_int(self.rebuild_batch, "rebuild_batch")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -303,10 +386,9 @@ class IdentificationCodebook:
         self.restacks = 0
         self.syncs = 0
         self.persists = 0
-        self.last_sync_pending = 0
         # Contiguous stacked form, updated in place for content-only
         # changes and rebuilt when the row membership changes.
-        self._ids: List[str] = []
+        self._ids: Tuple[str, ...] = ()
         self._index: Dict[str, int] = {}
         self._active: Optional[np.ndarray] = None
         self._stacked_challenges: Optional[np.ndarray] = None
@@ -319,21 +401,24 @@ class IdentificationCodebook:
         return len(self._rows)
 
     @property
-    def ids(self) -> List[str]:
-        """Row identities in matching (sorted) order."""
-        return list(self._ids)
+    def ids(self) -> Tuple[str, ...]:
+        """Row identities in matching (sorted) order (no copy)."""
+        return self._ids
 
     @property
     def active_mask(self) -> np.ndarray:
-        """Boolean mask over :attr:`ids`: ``False`` = tombstoned row.
+        """Read-only boolean mask over :attr:`ids`: ``False`` = tombstoned.
 
         Tombstones exist only between a :meth:`revoke_row` call and the
         next :meth:`sync` (which compacts the row away); a fully synced
-        codebook's mask is all ``True``.
+        codebook's mask is all ``True``.  The view is live: a later
+        revocation shows through it.
         """
         if self._active is None:
             raise RuntimeError("codebook is empty; sync it against a database")
-        return self._active.copy()
+        view = self._active.view()
+        view.flags.writeable = False
+        return view
 
     @property
     def revoked_ids(self) -> List[str]:
@@ -357,9 +442,9 @@ class IdentificationCodebook:
         """Contiguous near-equal ``[start, stop)`` row slices for sharding.
 
         The partition covers every row exactly once in :attr:`ids`
-        order, so per-shard winners merged by (distance, shard index,
-        local row) reproduce the global argmax tie-break -- highest
-        score, then lexicographically lowest chip id -- bit for bit.
+        order, so per-shard :func:`best_matches` winners merged by
+        strict improvement in shard order reproduce the global
+        tie-break -- highest score, then lowest chip id -- bit for bit.
         More shards than rows yields trailing empty slices rather than
         an error: a fixed fleet geometry must survive the population
         shrinking under it.
@@ -442,7 +527,6 @@ class IdentificationCodebook:
         *,
         dirty: Optional[Iterable[str]] = None,
         revoked: Optional[Iterable[str]] = None,
-        limit: Optional[int] = None,
         faults=None,
     ) -> int:
         """Bring the codebook up to date with *records*; return rebuild count.
@@ -465,19 +549,14 @@ class IdentificationCodebook:
             Identities to tombstone-and-compact.  Their rows are
             dropped and never rebuilt; the set is remembered, so a
             revoked id re-appearing in *records* stays excluded.
-        limit:
-            Cap on row *builds* this call (deferred maintenance).  When
-            the cap is hit the remaining stale rows stay pending,
-            :attr:`synced_epoch` does **not** advance, and
-            :attr:`last_sync_pending` reports the leftover count.
         faults:
             Optional :class:`repro.faults.FaultPlan`; consulted at
             :attr:`repro.faults.Site.CODEBOOK_SYNC` with the sync
             counter, so a rebuild dying mid-flight is a testable event.
 
-        The result after a fully drained sync is **bit-identical** to a
-        from-scratch rebuild over the same surviving records: same row
-        order, same stacked challenges, same packed bytes.
+        The result is **bit-identical** to a from-scratch rebuild over
+        the same surviving records: same row order, same stacked
+        challenges, same packed bytes.
         """
         if faults is not None:
             from repro.faults import Site
@@ -523,43 +602,35 @@ class IdentificationCodebook:
                 candidates = sorted(
                     set(dirty) & wanted_set | (wanted_set - set(self._rows))
                 )
-        built = 0
-        pending = 0
         touched: List[str] = []
         for chip_id in candidates:
             row = self._rows.get(chip_id)
             fingerprint = records[chip_id].fingerprint()
             if row is not None and row.fingerprint == fingerprint:
                 continue
-            if limit is not None and built >= limit:
-                pending += 1
-                continue
             self._rows[chip_id] = self._build_row(
                 chip_id, fingerprint, selector_for(chip_id)
             )
-            built += 1
             rebuilt += 1
             if row is None:
                 structural = True
             else:
                 touched.append(chip_id)
 
-        if membership_unchanged:
-            # No drops or adds happened (candidates were all existing
-            # rows), so the stacked order is untouched.
-            present = self._ids
+        # On the fast path no drops or adds happened (candidates were
+        # all existing rows), so the stacked order is untouched.
+        if not membership_unchanged and (
+            structural
+            or self._stacked_challenges is None
+            or tuple(wanted) != self._ids
+        ):
+            if wanted or self._ids:
+                self._restack(wanted)
         else:
-            present = [c for c in wanted if c in self._rows]
-        if structural or self._stacked_challenges is None or present != self._ids:
-            if present or self._ids:
-                self._restack(present)
-        elif touched:
             for chip_id in touched:
                 self._write_row(self._index[chip_id], self._rows[chip_id])
         self.rebuilds += rebuilt
-        self.last_sync_pending = pending
-        if pending == 0:
-            self.synced_epoch = epoch
+        self.synced_epoch = epoch
         return rebuilt
 
     def _build_row(
@@ -580,7 +651,7 @@ class IdentificationCodebook:
 
     def _restack(self, ids: Sequence[str]) -> None:
         self.restacks += 1
-        self._ids = list(ids)
+        self._ids = tuple(ids)
         self._index = {c: i for i, c in enumerate(self._ids)}
         if not self._ids:
             self._active = None

@@ -36,6 +36,7 @@ from repro.core.regression import RegressionReport, fit_soft_response_model
 from repro.core.selection import ChallengeSelector
 from repro.core.thresholds import ThresholdPair, determine_thresholds
 from repro.crp.challenges import random_challenges
+from repro.crp.dataset import _atomic_savez, _checked_load
 from repro.silicon.chip import PufChip
 from repro.silicon.environment import NOMINAL_CONDITION, OperatingCondition
 from repro.utils.rng import SeedLike, derive_generator
@@ -128,7 +129,11 @@ class EnrollmentRecord:
     # Persistence
     # ------------------------------------------------------------------
     def save(self, path: Union[str, Path]) -> None:
-        """Serialise to ``.npz`` (weights) + embedded JSON metadata."""
+        """Serialise to ``.npz`` (weights) + embedded JSON metadata.
+
+        Crash-safe like every dataset file: tmp + fsync + rename, with
+        an embedded SHA-256 payload checksum that :meth:`load` checks.
+        """
         meta = {
             "chip_id": self.chip_id,
             "method": self.xor_model.method,
@@ -138,18 +143,24 @@ class EnrollmentRecord:
             "thresholds": [[p.thr0, p.thr1] for p in self.base_pairs],
         }
         weights = np.stack([m.weights for m in self.xor_model.models])
-        np.savez_compressed(
-            Path(path), weights=weights, meta=np.frombuffer(
+        _atomic_savez(Path(path), {
+            "weights": weights,
+            "meta": np.frombuffer(
                 json.dumps(meta).encode("utf-8"), dtype=np.uint8
-            )
-        )
+            ),
+        })
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "EnrollmentRecord":
-        """Load a record previously written by :meth:`save`."""
-        with np.load(Path(path)) as data:
-            meta = json.loads(bytes(data["meta"]).decode("utf-8"))
-            weights = data["weights"]
+        """Load a record previously written by :meth:`save`.
+
+        Raises :class:`~repro.crp.dataset.CorruptDatasetError` for a
+        truncated, damaged or checksum-failing file; records written
+        before checksums existed still load.
+        """
+        data = _checked_load(Path(path), ("weights", "meta"))
+        meta = json.loads(bytes(data["meta"]).decode("utf-8"))
+        weights = data["weights"]
         models = [LinearPufModel(w, meta["method"]) for w in weights]
         return cls(
             chip_id=meta["chip_id"],

@@ -25,6 +25,7 @@ import bisect
 import dataclasses
 import json
 import time
+from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -40,6 +41,8 @@ from repro.core.authentication import (
 from repro.core.codebook import (
     CodebookPolicy,
     IdentificationCodebook,
+    IdentificationResult,
+    best_matches,
     pack_responses,
 )
 from repro.core.enrollment import EnrollmentRecord, enroll_chip
@@ -63,6 +66,7 @@ __all__ = [
     "ModelResponder",
     "UnknownChipError",
     "dense_identify",
+    "read_packed",
 ]
 
 #: File-name prefix of non-record artefacts inside a database directory
@@ -106,7 +110,8 @@ class AuthenticationServer:
         self._selectors: Dict[str, ChallengeSelector] = {}
         self._feature_cache = ParityFeatureCache()
         self._codebooks: Dict[int, IdentificationCodebook] = {}
-        self._sorted_ids: Optional[List[str]] = None
+        self._sorted_ids: Optional[Tuple[str, ...]] = None
+        self._active_ids: Optional[Tuple[str, ...]] = None
         self._epoch = 0
         self._mutations: Dict[str, int] = {}
         # Epoch-ordered mutation log; lets dirty_since() take the tail
@@ -134,22 +139,26 @@ class AuthenticationServer:
         return self._epoch
 
     @property
-    def enrolled_ids(self) -> list[str]:
-        """Identifiers of all enrolled chips (cached between mutations).
+    def enrolled_ids(self) -> Tuple[str, ...]:
+        """Sorted identifiers of all enrolled chips (cached between
+        mutations, no copy).
 
         Includes revoked identities -- their records are retained for
         audit; use :attr:`active_ids` for the serveable fleet.
         """
         if self._sorted_ids is None:
-            self._sorted_ids = sorted(self._records)
-        return list(self._sorted_ids)
+            self._sorted_ids = tuple(sorted(self._records))
+        return self._sorted_ids
 
     @property
-    def active_ids(self) -> list[str]:
-        """Identifiers of enrolled chips that are not revoked."""
-        if not self._revocations:
-            return self.enrolled_ids
-        return [c for c in self.enrolled_ids if c not in self._revocations]
+    def active_ids(self) -> Tuple[str, ...]:
+        """Sorted identifiers of enrolled chips that are not revoked
+        (cached between mutations, no copy)."""
+        if self._active_ids is None:
+            self._active_ids = tuple(
+                c for c in self.enrolled_ids if c not in self._revocations
+            )
+        return self._active_ids
 
     @property
     def n_active(self) -> int:
@@ -195,7 +204,7 @@ class AuthenticationServer:
             self._journal_log = sorted(
                 (epoch, chip) for chip, epoch in self._mutations.items()
             )
-        self._sorted_ids = None
+        self._sorted_ids = self._active_ids = None
 
     def register(self, record: EnrollmentRecord) -> None:
         """Store (or replace) an enrollment record.
@@ -369,44 +378,30 @@ class AuthenticationServer:
             self._sync_codebook(book)
         return book
 
-    def _sync_codebook(
-        self,
-        book: IdentificationCodebook,
-        limit: Optional[int] = None,
-        faults=None,
-    ) -> int:
+    def _sync_codebook(self, book: IdentificationCodebook, faults=None) -> int:
         return book.sync(
             self._records,
             self.selector,
             epoch=self._epoch,
             dirty=self.dirty_since(book.synced_epoch),
             revoked=self._revocations,
-            limit=limit,
             faults=faults,
         )
 
-    def sync_codebooks(
-        self, limit: Optional[int] = None, *, faults=None
-    ) -> Dict[int, int]:
+    def sync_codebooks(self, *, faults=None) -> Dict[int, int]:
         """Maintenance resync of every built codebook.
 
         The deferred policy's other half: a background loop (or the
-        lifecycle driver's tick) calls this to drain pending rebuilds
-        off the serving path.  *limit* caps row builds per codebook
-        this call (default: the policy's ``rebuild_batch``); leftovers
-        stay pending for the next call.  Returns ``block length ->
-        rows rebuilt``.
+        lifecycle driver's tick) calls this to drain the pending
+        rebuilds off the serving path; every book is current when it
+        returns.  Returns ``block length -> rows rebuilt``.
         """
-        if limit is None:
-            limit = self.codebook_policy.rebuild_batch
         rebuilt: Dict[int, int] = {}
         for n_challenges, book in self._codebooks.items():
             if book.synced_epoch == self._epoch:
                 rebuilt[n_challenges] = 0
                 continue
-            rebuilt[n_challenges] = self._sync_codebook(
-                book, limit=limit, faults=faults
-            )
+            rebuilt[n_challenges] = self._sync_codebook(book, faults=faults)
         return rebuilt
 
     def codebook_status(self, n_challenges: int = 64) -> Dict[str, object]:
@@ -447,8 +442,6 @@ class AuthenticationServer:
         goes into ``_lifecycle.json`` -- revocations are durable facts
         that must survive a server reload.
         """
-        from pathlib import Path
-
         from repro.engine.runtime import atomic_write_bytes
 
         directory = Path(directory)
@@ -490,8 +483,6 @@ class AuthenticationServer:
         security artefact, so it refuses to load
         (:class:`~repro.crp.dataset.CorruptDatasetError`).
         """
-        from pathlib import Path
-
         from repro.crp.dataset import CorruptDatasetError
 
         directory = Path(directory)
@@ -636,48 +627,6 @@ class AuthenticationServer:
             return_scores=return_scores,
         )[0]
 
-    @staticmethod
-    def _best_match(
-        ids: Sequence[str],
-        match: np.ndarray,
-        min_match_fraction: float,
-        return_scores: bool,
-        active: Optional[np.ndarray] = None,
-    ) -> IdentificationResult:
-        """Winner + optional score dict from a sorted-id score vector.
-
-        *ids* is ascending, so ``argmax`` (first occurrence wins) is
-        exactly the deterministic tie-break: highest score, then
-        lexicographically lowest chip id.  An *active* mask excludes
-        tombstoned (revoked) rows from both the winner search and the
-        reported scores.
-        """
-        if active is not None and not active.all():
-            if not active.any():
-                return IdentificationResult(
-                    chip_id=None,
-                    match_fraction=0.0,
-                    scores={} if return_scores else None,
-                )
-            masked = np.where(active, match, -1.0)
-        else:
-            active = None
-            masked = match
-        best = int(np.argmax(masked))
-        best_score = float(match[best])
-        return IdentificationResult(
-            chip_id=ids[best] if best_score >= min_match_fraction else None,
-            match_fraction=best_score,
-            scores=(
-                {
-                    chip_id: float(value)
-                    for index, (chip_id, value) in enumerate(zip(ids, match))
-                    if active is None or active[index]
-                }
-                if return_scores else None
-            ),
-        )
-
     def identify_many(
         self,
         responders: Sequence[Responder],
@@ -710,35 +659,46 @@ class AuthenticationServer:
             raise UnknownChipError("no active identities enrolled")
         if not responders:
             return []
-        if conditions is None:
-            conditions = [condition] * len(responders)
-        elif len(conditions) != len(responders):
-            raise ValueError(
-                f"{len(responders)} responders but {len(conditions)} conditions"
-            )
-        # Pack each transcript as it is read: per-item packing works on
-        # a cache-resident row block, and the stacked batch grid is the
-        # 8x smaller packed form (large unpacked grids spill to DRAM
-        # and dominate the pass).
-        n_rows = len(book)
-        packed = np.stack(
-            [
-                pack_responses(
-                    np.asarray(
-                        r.xor_response(book.stacked_challenges, cond)
-                    ).reshape(n_rows, n_challenges)
-                )
-                for r, cond in zip(responders, conditions)
-            ]
+        packed = read_packed(book, responders, condition, conditions)
+        return best_matches(
+            book.ids,
+            book.match_packed(packed),
+            book.active_mask,
+            min_match_fraction,
+            return_scores=return_scores,
         )
-        scores = book.match_packed(packed)
-        active = book.active_mask
-        return [
-            self._best_match(
-                book.ids, row, min_match_fraction, return_scores, active=active
-            )
-            for row in scores
-        ]
+
+
+def read_packed(
+    book: IdentificationCodebook,
+    responders: Sequence[Responder],
+    condition: OperatingCondition,
+    conditions: Optional[Sequence[OperatingCondition]] = None,
+) -> np.ndarray:
+    """Each device's answer to *book*'s stacked query, packed per item.
+
+    *conditions* optionally gives each responder its own operating
+    condition, overriding *condition* per item.  Returns ``(n_requests,
+    n_rows, n_bytes)``.  Packing each transcript as it is read works on
+    a cache-resident row block, and the stacked batch grid is the 8x
+    smaller packed form (large unpacked grids spill to DRAM and
+    dominate the pass).
+    """
+    if conditions is None:
+        conditions = [condition] * len(responders)
+    elif len(conditions) != len(responders):
+        raise ValueError(
+            f"{len(responders)} responders but {len(conditions)} conditions"
+        )
+    shape = (len(book), book.n_challenges)
+    return np.stack([
+        pack_responses(
+            np.asarray(
+                responder.xor_response(book.stacked_challenges, condition)
+            ).reshape(shape)
+        )
+        for responder, condition in zip(responders, conditions)
+    ])
 
 
 def dense_identify(
@@ -780,31 +740,11 @@ def dense_identify(
     responses = np.asarray(responder.xor_response(stacked, condition))
     responses = responses.reshape(len(ids), n_challenges)
     match = (responses == predicted).mean(axis=1)
-    return AuthenticationServer._best_match(
-        ids, match, min_match_fraction, return_scores
+    [result] = best_matches(
+        ids, match[None, :], None, min_match_fraction,
+        return_scores=return_scores,
     )
-
-
-@dataclasses.dataclass(frozen=True)
-class IdentificationResult:
-    """Outcome of a 1:N identification sweep.
-
-    Attributes
-    ----------
-    chip_id:
-        Best-matching enrolled identity, or ``None`` if nothing cleared
-        the match threshold.
-    match_fraction:
-        Per-challenge agreement of the best candidate.
-    scores:
-        ``chip_id -> match fraction`` for every enrolled identity, or
-        ``None`` unless the caller opted in with ``return_scores=True``
-        (building the dict is O(N) per request at scale).
-    """
-
-    chip_id: Optional[str]
-    match_fraction: float
-    scores: Optional[Dict[str, float]] = None
+    return result
 
 
 class ModelResponder:

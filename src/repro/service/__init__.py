@@ -42,7 +42,6 @@ compromising the zero-HD protocol's no-replay invariant.
 from repro.service.budget import ChallengeBudget, PoolExhaustedError
 from repro.service.fleet import (
     FleetConfig,
-    FleetIdentificationResult,
     FleetLog,
     FleetOutcome,
     OverloadError,
@@ -77,7 +76,6 @@ __all__ = [
     "DriftMonitor",
     "DriftPolicy",
     "FleetConfig",
-    "FleetIdentificationResult",
     "FleetLog",
     "FleetOutcome",
     "FrontendConfig",

@@ -8,7 +8,6 @@ explicitly degraded (``coverage < 1.0``) when shards are down.
 
 from repro.service.fleet.config import DEFAULT_RESTART_POLICY, FleetConfig
 from repro.service.fleet.dispatcher import (
-    FleetIdentificationResult,
     OverloadError,
     ShardDispatcher,
 )
@@ -24,7 +23,6 @@ from repro.service.fleet.worker import WORKER_EXIT_INJECTED, shard_worker_main
 __all__ = [
     "DEFAULT_RESTART_POLICY",
     "FleetConfig",
-    "FleetIdentificationResult",
     "OverloadError",
     "ShardDispatcher",
     "FleetEvent",

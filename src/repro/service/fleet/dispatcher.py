@@ -7,6 +7,10 @@ changes re-partition), scores each :meth:`~ShardDispatcher.identify_many`
 batch in one packed XOR + popcount pass per shard, and merges per-shard
 winners deterministically -- bit-identical to the single-process
 :meth:`AuthenticationServer.identify_many` when every shard answers.
+Every shard names its winner with the codebook's one decision rule
+(:func:`repro.core.codebook.best_matches`) over its own row slice; the
+merge keeps the strictly better answer in ascending shard order, which
+is the single-process lowest-id tie-break.
 It keeps no request buffer of its own: concurrent traffic is coalesced
 upstream, by :class:`repro.service.BatchingFrontend`, and reaches the
 fleet as :meth:`AuthenticationService.identify_many` batches.
@@ -33,7 +37,6 @@ Robustness contract:
 
 from __future__ import annotations
 
-import dataclasses
 import queue as queue_module
 import threading
 import time
@@ -43,16 +46,20 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.core.authentication import NOMINAL_CONDITION, OperatingCondition
-from repro.core.codebook import pack_responses
-from repro.core.server import AuthenticationServer, UnknownChipError
+from repro.core.codebook import IdentificationResult
+from repro.core.server import (
+    AuthenticationServer,
+    UnknownChipError,
+    read_packed,
+)
 from repro.faults import FaultPlan
 from repro.service.fleet.config import FleetConfig
 from repro.service.fleet.events import FleetLog, FleetOutcome
-from repro.service.fleet.scoring import shard_best, shard_distances
 from repro.service.fleet.shm import ShardSegment, ShardSpec
 from repro.service.fleet.supervisor import ShardState, ShardSupervisor
+from repro.service.fleet.worker import score_shard
 
-__all__ = ["OverloadError", "FleetIdentificationResult", "ShardDispatcher"]
+__all__ = ["OverloadError", "ShardDispatcher"]
 
 
 class OverloadError(RuntimeError):
@@ -68,35 +75,6 @@ class OverloadError(RuntimeError):
         )
         self.pending = pending
         self.limit = limit
-
-
-@dataclasses.dataclass(frozen=True)
-class FleetIdentificationResult:
-    """One identification answered by the shard fleet.
-
-    ``chip_id`` / ``match_fraction`` / ``scores`` carry exactly the
-    single-process :class:`~repro.core.server.IdentificationResult`
-    semantics (and identical values at full coverage).  ``coverage``
-    is the fraction of *active* codebook rows actually searched --
-    ``1.0`` on a healthy fleet; below that the answer is best-effort
-    over the surviving shards and ``uncovered_shards`` names the holes.
-    """
-
-    chip_id: Optional[str]
-    match_fraction: float
-    coverage: float = 1.0
-    scores: Optional[Dict[str, float]] = None
-    uncovered_shards: Tuple[int, ...] = ()
-
-    @property
-    def degraded(self) -> bool:
-        """Whether any active rows went unsearched."""
-        return self.coverage < 1.0
-
-
-#: One shard's contribution to a request batch.
-_ShardPayload = Tuple[Optional[np.ndarray], Optional[np.ndarray],
-                      Optional[np.ndarray]]
 
 
 class ShardDispatcher:
@@ -146,10 +124,9 @@ class ShardDispatcher:
             raise UnknownChipError(
                 "cannot shard an empty codebook: no identities enrolled"
             )
-        self._ids: List[str] = []
+        self._ids: Tuple[str, ...] = ()
         self._bounds: List[Tuple[int, int]] = []
         self._segments: List[ShardSegment] = []
-        self._shard_active: List[np.ndarray] = []
         self._epoch = 0
 
         self._supervisor: Optional[ShardSupervisor] = None
@@ -220,7 +197,7 @@ class ShardDispatcher:
 
     def status(self) -> Dict[str, object]:
         """JSON-ready fleet snapshot for reports and the CLI."""
-        total = sum(int(mask.sum()) for mask in self._shard_active)
+        total = sum(self._active_rows())
         return {
             "n_shards": self.n_shards,
             "inline": self.config.inline,
@@ -237,13 +214,11 @@ class ShardDispatcher:
     # ------------------------------------------------------------------
     def _synced_book(self):
         book = self._server.codebook(self.config.n_challenges, seed=self._seed)
-        while book.synced_epoch != self._server.epoch:
-            # The fleet serves from materialized bytes only; drain the
-            # whole deferred-policy backlog (each sync may be capped by
-            # the policy's rebuild_batch) before exporting the matrix,
-            # or a later maintenance sync would grow the book under
-            # segments already stamped with the current epoch.
-            self._server.sync_codebooks()
+        # The fleet serves from materialized bytes only: drain the
+        # deferred-policy backlog before exporting the matrix, or a
+        # later maintenance sync would grow the book under segments
+        # already stamped with the current epoch.
+        self._server.sync_codebooks()
         return book
 
     def _segment_name(self, shard_index: int) -> str:
@@ -257,10 +232,6 @@ class ShardDispatcher:
         matrix = book.packed_matrix
         self._ids = book.ids
         self._bounds = book.shard_bounds(self.config.n_shards)
-        self._shard_active = [
-            np.array(active[start:stop], dtype=bool)
-            for start, stop in self._bounds
-        ]
         specs: List[ShardSpec] = []
         segments: List[ShardSegment] = []
         for index, (start, stop) in enumerate(self._bounds):
@@ -308,24 +279,18 @@ class ShardDispatcher:
                 return True
             active = self._book.active_mask
             matrix = self._book.packed_matrix
-            if dirty is None:
-                dirty_shards: Set[int] = set(range(self.n_shards))
-            else:
-                dirty_shards = set()
-                for chip_id in dirty:
-                    try:
-                        position = self._book.row_position(chip_id)
-                    except KeyError:
-                        continue
-                    dirty_shards.add(self._shard_of(position))
+            dirty_shards: Set[int] = set()
+            for chip_id in dirty:
+                try:
+                    position = self._book.row_position(chip_id)
+                except KeyError:
+                    continue
+                dirty_shards.add(self._shard_of(position))
             for index, segment in enumerate(self._segments):
                 start, stop = self._bounds[index]
                 if index in dirty_shards:
                     segment.write(matrix[start:stop], active[start:stop],
                                   epoch)
-                    self._shard_active[index] = np.array(
-                        active[start:stop], dtype=bool
-                    )
                 else:
                     # Clean shards must echo the new epoch too, or their
                     # (perfectly valid) replies would read as stale.
@@ -348,10 +313,6 @@ class ShardDispatcher:
     def _relayout(self, epoch: int) -> None:
         old_segments = self._segments
         specs = self._build_segments()
-        self._epoch = epoch
-        for segment in self._segments:
-            segment.set_epoch(epoch)
-        specs = [segment.spec for segment in self._segments]
         if self._supervisor is not None:
             self._supervisor.reattach(specs)
             self._await_up()
@@ -366,26 +327,24 @@ class ShardDispatcher:
             ),
         )
 
+    def _active_rows(self) -> List[int]:
+        """Serveable (non-tombstoned) rows per shard, from the segments."""
+        return [int(segment.active.sum()) for segment in self._segments]
+
     def _shard_of(self, position: int) -> int:
         for index, (start, stop) in enumerate(self._bounds):
             if start <= position < stop:
                 return index
         raise IndexError(f"row {position} outside every shard bound")
 
-    def _await_up(self, budget: Optional[float] = None) -> None:
+    def _await_up(self) -> None:
         """Drain attach acks until every non-DOWN shard is serving."""
         if self._supervisor is None:
             return
-        budget = (
-            max(2.0, self.config.request_timeout) if budget is None else budget
-        )
-        deadline = time.monotonic() + budget
+        deadline = time.monotonic() + max(2.0, self.config.request_timeout)
         while time.monotonic() < deadline:
-            starting = [
-                h for h in self._supervisor.handles
-                if h.state is ShardState.STARTING
-            ]
-            if not starting:
+            handles = self._supervisor.handles
+            if all(h.state is not ShardState.STARTING for h in handles):
                 return
             self._drain_replies(timeout=0.05)
             self._supervisor.ensure_alive()
@@ -409,10 +368,6 @@ class ShardDispatcher:
     # ------------------------------------------------------------------
     # Serving
     # ------------------------------------------------------------------
-    def identify(self, responder, **kwargs) -> FleetIdentificationResult:
-        """Identify one device (a coalesced batch of one)."""
-        return self.identify_many([responder], **kwargs)[0]
-
     def identify_many(
         self,
         responders: Sequence[object],
@@ -420,14 +375,13 @@ class ShardDispatcher:
         condition: OperatingCondition = NOMINAL_CONDITION,
         conditions: Optional[Sequence[OperatingCondition]] = None,
         min_match_fraction: float = 0.95,
-        return_scores: bool = False,
-    ) -> List[FleetIdentificationResult]:
+    ) -> List[IdentificationResult]:
         """Batched 1:N identification across the shard fleet.
 
         One stacked device read per responder, one packed scoring pass
         per shard for the whole batch, one deterministic merge.  At
-        full coverage the ``(chip_id, match_fraction, scores)`` triple
-        is bit-identical to ``server.identify_many``.  *conditions*
+        full coverage the ``(chip_id, match_fraction)`` pair is
+        bit-identical to ``server.identify_many``.  *conditions*
         optionally gives each responder its own operating condition
         (overriding the batch-wide *condition* per item).
         """
@@ -445,53 +399,26 @@ class ShardDispatcher:
                     ),
                 )
                 raise OverloadError(len(responders), self.config.max_pending)
-            if conditions is None:
-                conditions = [condition] * len(responders)
-            elif len(conditions) != len(responders):
-                raise ValueError(
-                    f"{len(responders)} responders but "
-                    f"{len(conditions)} conditions"
-                )
             self.refresh()
-            book = self._book
-            stacked = book.stacked_challenges
-            responses = np.stack(
-                [
-                    np.asarray(r.xor_response(stacked, cond))
-                    for r, cond in zip(responders, conditions)
-                ]
+            packed = read_packed(
+                self._book, responders, condition, conditions
             )
-            packed = pack_responses(
-                responses.reshape(
-                    len(responders), len(self._ids), book.n_challenges
-                )
-            )
-            payloads, uncovered = self._dispatch(packed, return_scores)
-            return self._merge(
-                payloads, uncovered, len(responders), min_match_fraction,
-                return_scores,
-            )
+            payloads, uncovered = self._dispatch(packed, min_match_fraction)
+            return self._merge(payloads, uncovered, len(responders))
 
     def _dispatch(
-        self, packed: np.ndarray, want_scores: bool
-    ) -> Tuple[Dict[int, _ShardPayload], Tuple[int, ...]]:
+        self, packed: np.ndarray, min_match_fraction: float
+    ) -> Tuple[Dict[int, List[IdentificationResult]], Tuple[int, ...]]:
         """Score the packed batch on every shard; returns payloads + holes."""
         self.score_passes += 1
         if self.config.inline:
-            payloads: Dict[int, _ShardPayload] = {}
-            for index, segment in enumerate(self._segments):
-                start, stop = self._bounds[index]
-                distances = shard_distances(
-                    packed[:, start:stop, :], segment.packed
+            shards = enumerate(zip(self._segments, self._bounds))
+            return {
+                index: score_shard(
+                    segment, packed[:, start:stop, :], min_match_fraction
                 )
-                best = shard_best(
-                    distances, segment.active, self.config.n_challenges
-                )
-                rows, bests = (None, None) if best is None else best
-                payloads[index] = (
-                    rows, bests, distances if want_scores else None
-                )
-            return payloads, ()
+                for index, (segment, (start, stop)) in shards
+            }, ()
 
         self._drain_replies()
         self._supervisor.ensure_alive()
@@ -507,7 +434,8 @@ class ShardDispatcher:
             start, stop = self._bounds[handle.index]
             handle.request_queue.put(
                 ("score", req_id,
-                 np.ascontiguousarray(packed[:, start:stop, :]), want_scores)
+                 np.ascontiguousarray(packed[:, start:stop, :]),
+                 min_match_fraction)
             )
         expected = {handle.index for handle in up}
         payloads = {}
@@ -519,8 +447,7 @@ class ShardDispatcher:
             for message in self._drain_replies(
                 timeout=min(0.05, remaining)
             ):
-                (_, reply_req, shard, _generation, epoch, rows, bests,
-                 distances) = message
+                _, reply_req, shard, _generation, epoch, results = message
                 if reply_req != req_id or shard not in expected:
                     continue  # late reply from a previous request
                 if epoch != self._epoch:
@@ -533,7 +460,7 @@ class ShardDispatcher:
                     )
                     expected.discard(shard)
                     continue
-                payloads[shard] = (rows, bests, distances)
+                payloads[shard] = results
                 expected.discard(shard)
         if expected:
             # Deadline missed: the shard is uncovered for this request;
@@ -545,31 +472,13 @@ class ShardDispatcher:
 
     def _merge(
         self,
-        payloads: Dict[int, _ShardPayload],
+        payloads: Dict[int, List[IdentificationResult]],
         uncovered: Tuple[int, ...],
         batch_size: int,
-        threshold: float,
-        want_scores: bool,
-    ) -> List[FleetIdentificationResult]:
-        n = self.config.n_challenges
-        best_distance = np.full(batch_size, n + 2, dtype=np.int64)
-        best_row = np.full(batch_size, -1, dtype=np.int64)
-        # Ascending shard order + strict improvement keeps the earliest
-        # (lowest global row = lowest chip id) winner on equal distances,
-        # exactly the single-process argmax tie-break.
-        for shard in sorted(payloads):
-            rows, bests, _ = payloads[shard]
-            if rows is None:
-                continue
-            start = self._bounds[shard][0]
-            better = bests < best_distance
-            best_distance[better] = bests[better]
-            best_row[better] = start + rows[better]
-
-        total_active = sum(int(mask.sum()) for mask in self._shard_active)
-        covered_active = sum(
-            int(self._shard_active[s].sum()) for s in payloads
-        )
+    ) -> List[IdentificationResult]:
+        active_rows = self._active_rows()
+        total_active = sum(active_rows)
+        covered_active = sum(active_rows[s] for s in payloads)
         coverage = (
             covered_active / total_active if total_active else 1.0
         )
@@ -582,50 +491,28 @@ class ShardDispatcher:
                     f"{covered_active}/{total_active} active rows"
                 ),
             )
-
-        score_maps: List[Dict[str, float]] = []
-        if want_scores:
-            per_shard: List[Tuple[int, np.ndarray, np.ndarray]] = []
-            for shard in sorted(payloads):
-                distances = payloads[shard][2]
-                if distances is None or distances.shape[1] == 0:
-                    continue
-                fractions = (n - distances) / float(n)
-                per_shard.append(
-                    (self._bounds[shard][0], fractions,
-                     self._shard_active[shard])
-                )
-            for q in range(batch_size):
-                entry: Dict[str, float] = {}
-                for start, fractions, mask in per_shard:
-                    for j in np.flatnonzero(mask):
-                        entry[self._ids[start + j]] = float(fractions[q, j])
-                score_maps.append(entry)
-
-        results: List[FleetIdentificationResult] = []
-        for q in range(batch_size):
-            scores = score_maps[q] if want_scores else None
-            if best_distance[q] > n:
-                # No active row among the covered shards: the
-                # single-process all-revoked degenerate result.
-                results.append(
-                    FleetIdentificationResult(
-                        chip_id=None, match_fraction=0.0, coverage=coverage,
-                        scores={} if want_scores and scores is None
-                        else scores,
-                        uncovered_shards=uncovered,
-                    )
-                )
-                continue
-            fraction = (n - int(best_distance[q])) / float(n)
-            chip_id = (
-                self._ids[int(best_row[q])] if fraction >= threshold else None
-            )
-            results.append(
-                FleetIdentificationResult(
-                    chip_id=chip_id, match_fraction=fraction,
-                    coverage=coverage, scores=scores,
-                    uncovered_shards=uncovered,
-                )
-            )
+        # Ascending shard order + strict improvement keeps the earliest
+        # (lowest global row = lowest chip id) winner on equal scores,
+        # exactly the single-process tie-break.  Shards without an
+        # active row have no candidate to offer.
+        answers = [
+            payloads[shard] for shard in sorted(payloads)
+            if active_rows[shard]
+        ]
+        results: List[IdentificationResult] = []
+        for request in range(batch_size):
+            best = None
+            for shard_results in answers:
+                candidate = shard_results[request]
+                if best is None or (
+                    candidate.match_fraction > best.match_fraction
+                ):
+                    best = candidate
+            row = None if best is None else best.chip_id
+            results.append(IdentificationResult(
+                chip_id=None if row is None else self._ids[row],
+                match_fraction=0.0 if best is None else best.match_fraction,
+                coverage=coverage,
+                uncovered_shards=uncovered,
+            ))
         return results

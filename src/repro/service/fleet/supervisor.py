@@ -142,9 +142,9 @@ class ShardSupervisor:
                 detail=f"serving again after {handle.restarts} restart(s)",
             )
 
-    def ensure_alive(self, now: Optional[float] = None) -> None:
+    def ensure_alive(self) -> None:
         """Detect dead/hung workers; kill and respawn within budget."""
-        now = time.monotonic() if now is None else now
+        now = time.monotonic()
         for handle in self._handles:
             if handle.state is ShardState.DOWN or handle.process is None:
                 continue

@@ -22,19 +22,44 @@ from __future__ import annotations
 import os
 import queue
 import time
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
+from repro.core.codebook import (
+    IdentificationResult,
+    best_matches,
+    packed_match_fractions,
+)
 from repro.faults import FaultPlan, InjectedFault, Site
-from repro.service.fleet.scoring import shard_best, shard_distances
 from repro.service.fleet.shm import ShardSegment, ShardSpec
 
-__all__ = ["shard_worker_main", "WORKER_EXIT_INJECTED"]
+__all__ = ["score_shard", "shard_worker_main", "WORKER_EXIT_INJECTED"]
 
 #: Exit status of a worker killed by an injected fault (distinguishes
 #: chaos deaths from real bugs in test postmortems).
 WORKER_EXIT_INJECTED = 3
+
+
+def score_shard(
+    segment: ShardSegment,
+    packed_queries: np.ndarray,
+    min_match_fraction: float,
+) -> List[IdentificationResult]:
+    """One shard's decisions for a packed ``(n_queries, n_rows, n_bytes)``
+    batch slice: the codebook's scoring pass and winner rule over the
+    shard's rows.  A winner is named by its global row number (a shard
+    holds no chip ids).  Worker processes and the dispatcher's inline
+    mode both score through here.
+    """
+    spec = segment.spec
+    match = packed_match_fractions(
+        packed_queries, segment.packed[None, :, :], spec.n_challenges
+    )
+    return best_matches(
+        range(spec.start, spec.stop), match, segment.active,
+        min_match_fraction,
+    )
 
 
 def _die(exc: InjectedFault) -> None:  # pragma: no cover - exits the process
@@ -70,9 +95,9 @@ def shard_worker_main(
 
     * ``("attach", spec)`` -> re-map a new segment (re-layout), reply
       ``("attached", worker_index, shard_index, generation, epoch)``;
-    * ``("score", req_id, packed_queries, want_scores)`` -> reply
-      ``("result", req_id, shard_index, generation, epoch, local_rows,
-      best_distances, distances_or_None)``;
+    * ``("score", req_id, packed_queries, min_match_fraction)`` ->
+      reply ``("result", req_id, shard_index, generation, epoch,
+      results)`` with one :func:`score_shard` decision per query;
     * ``("stop",)`` -> clean exit.
 
     The heartbeat slot is refreshed every loop iteration (idle loops
@@ -109,18 +134,12 @@ def shard_worker_main(
                 )
                 continue
             if kind == "score":
-                _, req_id, packed_queries, want_scores = message
+                _, req_id, packed_queries, min_match_fraction = message
                 _check(faults, Site.SHARD_SCORE, spec.shard_index, req_id)
-                distances = shard_distances(packed_queries, segment.packed)
-                active = np.array(segment.active, dtype=bool)
-                best = shard_best(distances, active, spec.n_challenges)
-                local_rows, best_distances = (
-                    (None, None) if best is None else best
-                )
                 reply_queue.put(
                     ("result", req_id, spec.shard_index, generation,
-                     segment.epoch, local_rows, best_distances,
-                     distances if want_scores else None)
+                     segment.epoch,
+                     score_shard(segment, packed_queries, min_match_fraction))
                 )
     finally:
         if segment is not None:

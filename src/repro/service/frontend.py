@@ -142,7 +142,6 @@ class _QueuedRequest:
     condition: OperatingCondition = NOMINAL_CONDITION
     deadline: Optional[float] = None
     min_match_fraction: float = 0.95
-    return_scores: bool = False
     enqueued_at: float = 0.0  # service clock, for deadline accounting
 
     @property
@@ -154,12 +153,6 @@ class _QueuedRequest:
         # An unresolvable identity fails admission without touching any
         # per-chip state, so it can share a run with anything.
         return claimed if claimed is not None else self
-
-    def run_key(self) -> Tuple:
-        """Requests with equal keys may share one packed pass."""
-        if self.kind == "auth":
-            return ("auth",)
-        return ("identify", self.min_match_fraction, self.return_scores)
 
 
 class _GuardedResponder:
@@ -326,13 +319,12 @@ class BatchingFrontend:
         *,
         condition: OperatingCondition = NOMINAL_CONDITION,
         min_match_fraction: Optional[float] = None,
-        return_scores: bool = False,
     ) -> "concurrent.futures.Future[IdentificationResult]":
         """Enqueue one 1:N identification; resolve via the future.
 
-        Identifications sharing a drain (and the same threshold /
-        score-reporting options) are served by one packed codebook
-        pass -- one shard round-trip when a fleet is attached.
+        Identifications sharing a drain (and the same threshold) are
+        served by one packed codebook pass -- one shard round-trip when
+        a fleet is attached.
         """
         return self._enqueue(
             _QueuedRequest(
@@ -341,7 +333,6 @@ class BatchingFrontend:
                     self.config.min_match_fraction
                     if min_match_fraction is None else min_match_fraction
                 ),
-                return_scores=return_scores,
                 future=concurrent.futures.Future(),
             )
         )
@@ -435,7 +426,7 @@ class BatchingFrontend:
         """Cut one drained batch into bit-identity-safe packed runs.
 
         Runs preserve submission order.  A new run starts when the
-        request kind (or identification options) changes, or when an
+        request kind (or identification threshold) changes, or when an
         authentication would put a chip into a run that already holds
         it -- per-chip breaker/limiter/drift/budget state must observe
         the earlier request's decision before the later one is
@@ -446,7 +437,9 @@ class BatchingFrontend:
         current_key: Optional[Tuple] = None
         current_chips: set = set()
         for item in batch:
-            key = item.run_key()
+            # Equal keys may share one packed pass (authentications
+            # all carry the default threshold).
+            key = (item.kind, item.min_match_fraction)
             hazard = item.kind == "auth" and item.chip_key in current_chips
             if current and (key != current_key or hazard):
                 runs.append(current)
@@ -510,7 +503,6 @@ class BatchingFrontend:
                 guards,
                 conditions=[item.condition for item in run],
                 min_match_fraction=run[0].min_match_fraction,
-                return_scores=run[0].return_scores,
             )
         except Exception as exc:
             # A batch-level refusal (e.g. no identities enrolled) is

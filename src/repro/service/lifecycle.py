@@ -336,187 +336,194 @@ def run_lifecycle_sim(
     server.codebook(service_config.n_challenges, seed=book_seed)
 
     dispatcher = None
-    if cfg.sharded:
-        from repro.service.fleet import FleetConfig, ShardDispatcher
+    frontend = None
+    try:
+        if cfg.sharded:
+            from repro.service.fleet import FleetConfig, ShardDispatcher
 
-        # Inline mode: same shard partition, scoring and merge code as
-        # the worker fleet, without process churn inside the sim --
-        # what this run exercises is refresh + re-layout under the
-        # lifecycle's register/retighten/revoke interleavings.
-        dispatcher = ShardDispatcher(
-            server,
-            FleetConfig(
-                n_shards=cfg.n_shards,
-                n_challenges=service_config.n_challenges,
-                inline=True,
-            ),
-            seed=book_seed,
-        )
-        service.attach_fleet(dispatcher)
-        say(
-            f"sharded identification plane: {cfg.n_shards} inline "
-            f"shards over {len(server.active_ids)} identities"
-        )
-
-    frontend = make_frontend(service, cfg.clients, say)
-
-    # ------------------------------------------------------------------
-    # The life.
-    # ------------------------------------------------------------------
-    active: Counter = Counter()  # active-fleet authentication outcomes
-    revoked: Counter = Counter()  # outcomes of probes by revoked devices
-    revoked_identify_hits = 0
-    identified_hits = identified_probes = 0
-    max_served_stale = 0
-    stale_served_ticks = 0
-    maintenance_crashes = sync_crashes = 0
-    persist_saves = persist_failures = reloads = corrupt_recoveries = 0
-    retightens = 0
-    committed_retightens: Set[str] = set()
-
-    for tick in range(cfg.ticks):
-        hours = (tick + 1) * cfg.hours_per_tick
-        maintenance_ok = True
-        if faults is not None:
-            try:
-                faults.check(Site.SERVICE_LIFECYCLE, tick)
-            except InjectedFault:
-                maintenance_ok = False
-                maintenance_crashes += 1
-
-        # -- churn: a new chip joins ----------------------------------
-        if cfg.enroll_interval and (tick + 1) % cfg.enroll_interval == 0:
-            chip = PufChip.create(
-                cfg.n_xors,
-                cfg.n_stages,
-                derive_generator(seed, "lifecycle", "chip", next_chip_index),
-                chip_id=f"chip-{next_chip_index}",
+            # Inline mode: same shard partition, scoring and merge code as
+            # the worker fleet, without process churn inside the sim --
+            # what this run exercises is refresh + re-layout under the
+            # lifecycle's register/retighten/revoke interleavings.
+            dispatcher = ShardDispatcher(
+                server,
+                FleetConfig(
+                    n_shards=cfg.n_shards,
+                    n_challenges=service_config.n_challenges,
+                    inline=True,
+                ),
+                seed=book_seed,
             )
-            next_chip_index += 1
-            chips[chip.chip_id] = chip
-            enroll(chip)
-            enrolled_total += 1
-
-        # -- revocation wave ------------------------------------------
-        if (
-            cfg.revoke_interval
-            and (tick + 1) % cfg.revoke_interval == 0
-            and len(server.active_ids) > 2
-        ):
-            victim = server.active_ids[0]  # the oldest active identity
-            service.revoke(victim, reason=f"lifecycle wave, tick {tick}")
-
-        # -- aging: every surviving device is now `hours` old ---------
-        aged: Dict[str, PufChip] = {
-            chip_id: age_chip(
-                chips[chip_id],
-                hours,
-                AGING,
-                derive_generator(seed, "lifecycle", "aging", chip_id),
-            )
-            for chip_id in chips
-        }
-
-        # -- retighten storm + drift-flagged commits ------------------
-        if cfg.storm_interval and (tick + 1) % cfg.storm_interval == 0:
-            storm_targets = server.active_ids
-            for chip_id in storm_targets:
-                server.retighten(chip_id, STORM_BETA0, STORM_BETA1)
-                retightens += 1
+            service.attach_fleet(dispatcher)
             say(
-                f"tick {tick}: retighten storm over {len(storm_targets)} "
-                f"chips (codebook pending: "
-                f"{server.codebook_status(service_config.n_challenges).get('pending_rows', 0)})"
+                f"sharded identification plane: {cfg.n_shards} inline "
+                f"shards over {len(server.active_ids)} identities"
             )
-        for chip_id in service.flagged_chips:
-            if chip_id in committed_retightens or server.is_revoked(chip_id):
-                continue
-            service.apply_retightening(chip_id)
-            committed_retightens.add(chip_id)
-            retightens += 1
 
-        # -- traffic: the active fleet authenticates ------------------
-        fleet_traffic = [
-            aged[chip_id]
-            for chip_id in server.active_ids
-            for _ in range(cfg.requests_per_chip)
-        ]
-        for result in serve(
-            service, fleet_traffic, clock=clock, frontend=frontend
-        ):
-            active[result.outcome] += 1
+        frontend = make_frontend(service, cfg.clients, say)
 
-        # -- traffic: identification through the (possibly stale) book
-        probe_ids = server.active_ids[: cfg.identify_probes]
-        if probe_ids:
-            results = serve(
-                service, [aged[c] for c in probe_ids], identify=True,
-                frontend=frontend,
-            )
-            identified_probes += len(probe_ids)
-            identified_hits += sum(
-                result.chip_id == chip_id
-                for chip_id, result in zip(probe_ids, results)
-            )
-            served_stale = server.codebook_status(
-                service_config.n_challenges
-            ).get("pending_rows", 0)
-            max_served_stale = max(max_served_stale, int(served_stale))
-            if served_stale:
-                stale_served_ticks += 1
+        # ------------------------------------------------------------------
+        # The life.
+        # ------------------------------------------------------------------
+        active: Counter = Counter()  # active-fleet authentication outcomes
+        revoked: Counter = Counter()  # outcomes of probes by revoked devices
+        revoked_identify_hits = 0
+        identified_hits = identified_probes = 0
+        max_served_stale = 0
+        stale_served_ticks = 0
+        maintenance_crashes = sync_crashes = 0
+        persist_saves = persist_failures = reloads = corrupt_recoveries = 0
+        retightens = 0
+        committed_retightens: Set[str] = set()
 
-        # -- traffic: revoked devices keep knocking -------------------
-        for chip_id in sorted(server.revocations)[:3]:
-            responder = aged[chip_id]
-            [result] = serve(
-                service, [responder], clock=clock, frontend=frontend
-            )
-            revoked[result.outcome] += 1
-            [sweep] = serve(
-                service, [responder], identify=True, frontend=frontend
-            )
-            if sweep.chip_id == chip_id:
-                revoked_identify_hits += 1
-
-        # -- maintenance: drain rebuilds, persistence chaos -----------
-        if maintenance_ok:
-            try:
-                server.sync_codebooks(faults=faults)
-            except InjectedFault:
-                sync_crashes += 1
-            if workdir is not None:
+        for tick in range(cfg.ticks):
+            hours = (tick + 1) * cfg.hours_per_tick
+            maintenance_ok = True
+            if faults is not None:
                 try:
-                    server.save_database(workdir, faults=faults)
-                    persist_saves += 1
-                except (InjectedFault, OSError):
-                    persist_failures += 1
+                    faults.check(Site.SERVICE_LIFECYCLE, tick)
+                except InjectedFault:
+                    maintenance_ok = False
+                    maintenance_crashes += 1
+
+            # -- churn: a new chip joins ----------------------------------
+            if cfg.enroll_interval and (tick + 1) % cfg.enroll_interval == 0:
+                chip = PufChip.create(
+                    cfg.n_xors,
+                    cfg.n_stages,
+                    derive_generator(
+                        seed, "lifecycle", "chip", next_chip_index
+                    ),
+                    chip_id=f"chip-{next_chip_index}",
+                )
+                next_chip_index += 1
+                chips[chip.chip_id] = chip
+                enroll(chip)
+                enrolled_total += 1
+
+            # -- revocation wave ------------------------------------------
+            if (
+                cfg.revoke_interval
+                and (tick + 1) % cfg.revoke_interval == 0
+                and len(server.active_ids) > 2
+            ):
+                victim = server.active_ids[0]  # the oldest active identity
+                service.revoke(victim, reason=f"lifecycle wave, tick {tick}")
+
+            # -- aging: every surviving device is now `hours` old ---------
+            aged: Dict[str, PufChip] = {
+                chip_id: age_chip(
+                    chips[chip_id],
+                    hours,
+                    AGING,
+                    derive_generator(seed, "lifecycle", "aging", chip_id),
+                )
+                for chip_id in chips
+            }
+
+            # -- retighten storm + drift-flagged commits ------------------
+            if cfg.storm_interval and (tick + 1) % cfg.storm_interval == 0:
+                storm_targets = server.active_ids
+                for chip_id in storm_targets:
+                    server.retighten(chip_id, STORM_BETA0, STORM_BETA1)
+                    retightens += 1
+                status = server.codebook_status(service_config.n_challenges)
+                say(
+                    f"tick {tick}: retighten storm over {len(storm_targets)} "
+                    f"chips (codebook pending: "
+                    f"{status.get('pending_rows', 0)})"
+                )
+            for chip_id in service.flagged_chips:
+                if (
+                    chip_id in committed_retightens
+                    or server.is_revoked(chip_id)
+                ):
+                    continue
+                service.apply_retightening(chip_id)
+                committed_retightens.add(chip_id)
+                retightens += 1
+
+            # -- traffic: the active fleet authenticates ------------------
+            fleet_traffic = [
+                aged[chip_id]
+                for chip_id in server.active_ids
+                for _ in range(cfg.requests_per_chip)
+            ]
+            for result in serve(
+                service, fleet_traffic, clock=clock, frontend=frontend
+            ):
+                active[result.outcome] += 1
+
+            # -- traffic: identification through the (possibly stale) book
+            probe_ids = server.active_ids[: cfg.identify_probes]
+            if probe_ids:
+                results = serve(
+                    service, [aged[c] for c in probe_ids], identify=True,
+                    frontend=frontend,
+                )
+                identified_probes += len(probe_ids)
+                identified_hits += sum(
+                    result.chip_id == chip_id
+                    for chip_id, result in zip(probe_ids, results)
+                )
+                served_stale = server.codebook_status(
+                    service_config.n_challenges
+                ).get("pending_rows", 0)
+                max_served_stale = max(max_served_stale, int(served_stale))
+                if served_stale:
+                    stale_served_ticks += 1
+
+            # -- traffic: revoked devices keep knocking -------------------
+            for chip_id in sorted(server.revocations)[:3]:
+                responder = aged[chip_id]
+                [result] = serve(
+                    service, [responder], clock=clock, frontend=frontend
+                )
+                revoked[result.outcome] += 1
+                [sweep] = serve(
+                    service, [responder], identify=True, frontend=frontend
+                )
+                if sweep.chip_id == chip_id:
+                    revoked_identify_hits += 1
+
+            # -- maintenance: drain rebuilds, persistence chaos -----------
+            if maintenance_ok:
                 try:
-                    reloaded = AuthenticationServer.load_database(workdir)
-                except (FileNotFoundError, CorruptDatasetError):
-                    pass
-                else:
-                    reloads += 1
-                    corrupt_recoveries += reloaded.codebook_recoveries
+                    server.sync_codebooks(faults=faults)
+                except InjectedFault:
+                    sync_crashes += 1
+                if workdir is not None:
+                    try:
+                        server.save_database(workdir, faults=faults)
+                        persist_saves += 1
+                    except (InjectedFault, OSError):
+                        persist_failures += 1
+                    try:
+                        reloaded = AuthenticationServer.load_database(workdir)
+                    except (FileNotFoundError, CorruptDatasetError):
+                        pass
+                    else:
+                        reloads += 1
+                        corrupt_recoveries += reloaded.codebook_recoveries
 
-        clock.advance(cfg.hours_per_tick * 3600.0)
-        say(
-            f"tick {tick + 1}/{cfg.ticks}: "
-            f"{len(server.active_ids)} active / "
-            f"{len(server.revocations)} revoked, age {hours:.0f} h"
-        )
+            clock.advance(cfg.hours_per_tick * 3600.0)
+            say(
+                f"tick {tick + 1}/{cfg.ticks}: "
+                f"{len(server.active_ids)} active / "
+                f"{len(server.revocations)} revoked, age {hours:.0f} h"
+            )
 
-    # Converge: the life ends with a fully drained codebook.
-    server.sync_codebooks(limit=None)
+        # Converge: the life ends with a fully drained codebook.
+        server.sync_codebooks()
+        fleet_stats = None if dispatcher is None else dispatcher.status()
+    finally:
+        frontend_stats = close_frontend(frontend)
+        if dispatcher is not None:
+            dispatcher.close()
 
     # ------------------------------------------------------------------
     # Gates and report.
     # ------------------------------------------------------------------
-    frontend_stats = close_frontend(frontend)
-
-    fleet_stats: Optional[Dict[str, object]] = None
-    if dispatcher is not None:
-        fleet_stats = dispatcher.status()
-        dispatcher.close()
 
     scored = active[AuthOutcome.APPROVED] + active[AuthOutcome.REJECTED]
     probes = sum(active.values())
@@ -526,6 +533,7 @@ def run_lifecycle_sim(
     revoked_approvals = revoked[AuthOutcome.APPROVED]
     no_replay = not service.audit.replayed_digests()
     book = server.codebook(service_config.n_challenges)
+    identified_misses = identified_probes - identified_hits
 
     gates = {
         "nominal_frr": gate(
@@ -545,6 +553,9 @@ def run_lifecycle_sim(
         "staleness": gate(
             max_served_stale, cfg.max_stale_rows,
             max_served_stale <= cfg.max_stale_rows,
+        ),
+        "identified_misses": gate(
+            identified_misses, 0, identified_misses == 0
         ),
     }
 
@@ -595,7 +606,7 @@ def run_lifecycle_sim(
                 "aging": dataclasses.asdict(AGING),
             },
             "identified_hits": identified_hits,
-            "identified_misses": identified_probes - identified_hits,
+            "identified_misses": identified_misses,
             "chaos": faults is not None,
             "persistence_chaos": workdir is not None,
             "sharded": cfg.sharded,

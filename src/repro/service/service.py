@@ -670,7 +670,6 @@ class AuthenticationService:
         condition: OperatingCondition = NOMINAL_CONDITION,
         conditions: Optional[Sequence[OperatingCondition]] = None,
         min_match_fraction: float = 0.95,
-        return_scores: bool = False,
     ) -> List[IdentificationResult]:
         """Batched 1:N identification over the server's codebook plane.
 
@@ -689,9 +688,8 @@ class AuthenticationService:
         costs one shard round-trip; a batch larger than the fleet's
         ``max_pending`` bound is served in bound-sized passes rather
         than shed (identification rows are scored independently, so
-        the split is invisible in the results).  Fleet results carry a
-        ``coverage`` attribute and may be degraded (never wrong) while
-        shards are down.
+        the split is invisible in the results).  Fleet results may be
+        degraded (``coverage < 1``, never wrong) while shards are down.
         """
         start = self._clock()
         seed = self._seed if isinstance(self._seed, int) else None
@@ -707,7 +705,6 @@ class AuthenticationService:
                         responders[first:first + bound],
                         conditions=conditions[first:first + bound],
                         min_match_fraction=min_match_fraction,
-                        return_scores=return_scores,
                     )
                 )
         else:
@@ -718,20 +715,18 @@ class AuthenticationService:
                 condition=condition,
                 conditions=conditions,
                 seed=seed,
-                return_scores=return_scores,
             )
         n_active = self._server.n_active
         for result, item_condition in zip(results, conditions):
             request = self._requests
             self._requests += 1
             matched = result.chip_id is not None
-            coverage = getattr(result, "coverage", 1.0)
             detail = (
                 f"best match {result.match_fraction:.4f} across "
                 f"{n_active} identities"
             )
-            if coverage < 1.0:
-                detail += f" (degraded: coverage {coverage:.3f})"
+            if result.degraded:
+                detail += f" (degraded: coverage {result.coverage:.3f})"
             self._emit(
                 request, result.chip_id,
                 AuthOutcome.IDENTIFIED if matched else AuthOutcome.UNIDENTIFIED,

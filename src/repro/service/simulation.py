@@ -555,14 +555,15 @@ def run_serve_sim(
         corner_metrics.get("availability", float("nan"))
     )
     no_replay = not service.audit.replayed_digests()
-    # A phase without scored healthy requests (NaN) bounds nothing.
+    # A phase without scored healthy requests reads NaN and fails its
+    # gate: nothing was measured.
     gates = {
         "nominal_frr": gate(
-            nominal_frr, MAX_NOMINAL_FRR, not nominal_frr > MAX_NOMINAL_FRR
+            nominal_frr, MAX_NOMINAL_FRR, nominal_frr <= MAX_NOMINAL_FRR
         ),
         "corner_availability": gate(
             corner_availability, MIN_CORNER_AVAILABILITY,
-            not corner_availability < MIN_CORNER_AVAILABILITY,
+            corner_availability >= MIN_CORNER_AVAILABILITY,
         ),
         "no_replay": gate(no_replay, True, no_replay),
     }

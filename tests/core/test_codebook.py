@@ -19,6 +19,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.core.adjustment import BetaFactors
 from repro.core.codebook import (
     IdentificationCodebook,
+    best_matches,
     pack_responses,
     packed_match_fractions,
     popcount,
@@ -104,6 +105,52 @@ class TestPackedKernels:
 # ----------------------------------------------------------------------
 # Codebook against a live server
 # ----------------------------------------------------------------------
+def reference_winner(ids, row, active, threshold):
+    """The winner rule as a per-request loop: skip tombstones, keep the
+    first strictly better score, then apply the threshold."""
+    best = None
+    for index, score in enumerate(row):
+        if active[index] and (best is None or score > row[best]):
+            best = index
+    if best is None:
+        return None, 0.0
+    score = float(row[best])
+    return (ids[best] if score >= threshold else None), score
+
+
+class TestBestMatches:
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_per_request_loop(self, data):
+        """Vectorized over the batch, the rule names exactly the winner
+        the loop does: tombstones never win, the lowest id wins ties,
+        a best below the threshold names no one."""
+        n_rows = data.draw(st.integers(1, 7))
+        n_requests = data.draw(st.integers(1, 4))
+        # Few distinct scores, so ties are common.
+        values = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
+        match = np.array(data.draw(st.lists(
+            st.lists(values, min_size=n_rows, max_size=n_rows),
+            min_size=n_requests, max_size=n_requests,
+        )))
+        active = np.array(data.draw(
+            st.lists(st.booleans(), min_size=n_rows, max_size=n_rows)
+        ))
+        threshold = data.draw(values)
+        ids = [f"chip-{i}" for i in range(n_rows)]
+        results = best_matches(
+            ids, match, active, threshold, return_scores=True
+        )
+        for row, result in zip(match, results):
+            assert (result.chip_id, result.match_fraction) == (
+                reference_winner(ids, row, active, threshold)
+            )
+            assert result.scores == {
+                chip_id: float(score)
+                for chip_id, score, live in zip(ids, row, active) if live
+            }
+
+
 @pytest.fixture(scope="module")
 def lot_and_server():
     """Three enrolled chips; tests treat the pair as read-only.
@@ -243,9 +290,9 @@ class TestEpochInvalidation:
         record = server.record(first[0])
         server.register(dataclasses.replace(record, chip_id="zz-new"))
         assert "zz-new" in server.enrolled_ids
-        # The returned list is a copy; mutating it must not poison the cache.
-        server.enrolled_ids.append("bogus")
-        assert "bogus" not in server.enrolled_ids
+        # The cached ids are an immutable tuple, handed out uncopied.
+        assert isinstance(server.enrolled_ids, tuple)
+        assert server.enrolled_ids is server.enrolled_ids
 
 
 class TestPersistence:

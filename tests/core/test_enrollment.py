@@ -11,6 +11,7 @@ from repro.core.enrollment import (
     EnrollmentRecord,
     enroll_chip,
 )
+from repro.crp.dataset import CorruptDatasetError
 from repro.silicon.chip import PufChip
 from repro.silicon.environment import paper_corner_grid
 from repro.silicon.fuses import FuseBlownError
@@ -136,6 +137,31 @@ class TestEnrollmentRecord:
             assert a.thr1 == pytest.approx(b.thr1)
         for ma, mb in zip(loaded.xor_model.models, record.xor_model.models):
             np.testing.assert_allclose(ma.weights, mb.weights)
+
+    def test_torn_record_raises_corrupt_dataset(
+        self, enrolled_chip_and_record, tmp_path
+    ):
+        _, record = enrolled_chip_and_record
+        path = tmp_path / "record.npz"
+        record.save(path)
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) // 2])
+        with pytest.raises(CorruptDatasetError):
+            EnrollmentRecord.load(path)
+
+    def test_record_without_checksum_still_loads(
+        self, enrolled_chip_and_record, tmp_path
+    ):
+        """Records written before the checksummed format still load."""
+        _, record = enrolled_chip_and_record
+        path = tmp_path / "record.npz"
+        record.save(path)
+        with np.load(path) as data:
+            assert "checksum" in data.files
+            weights, meta = data["weights"], data["meta"]
+        np.savez_compressed(path, weights=weights, meta=meta)
+        loaded = EnrollmentRecord.load(path)
+        assert loaded.fingerprint() == record.fingerprint()
 
     def test_loaded_record_selects_identically(
         self, enrolled_chip_and_record, tmp_path

@@ -24,7 +24,7 @@ class TestDatabase:
         _, record = enrolled_chip_and_record
         server = AuthenticationServer()
         server.register(record)
-        assert server.enrolled_ids == [record.chip_id]
+        assert server.enrolled_ids == (record.chip_id,)
         assert server.record(record.chip_id) is record
 
     def test_unknown_chip_error(self):

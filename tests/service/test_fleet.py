@@ -6,7 +6,7 @@ processes -- so these tests pin the data-plane contract fast and
 deterministically:
 
 * the merged batch is **bit-identical** to single-process
-  ``identify_many`` (chip id, match fraction, and the full score dict),
+  ``identify_many`` (chip id and match fraction, at coverage 1.0),
   property-tested across register / retighten / revoke interleavings;
 * refresh folds journalled mutations correctly: content-only changes
   rewrite rows in place, membership changes re-partition;
@@ -24,7 +24,11 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core.codebook import CodebookPolicy
+from repro.core.codebook import (
+    CodebookPolicy,
+    best_matches,
+    packed_match_fractions,
+)
 from repro.core.enrollment import enroll_chip
 from repro.core.server import AuthenticationServer, UnknownChipError
 from repro.service import AuthenticationService, ServiceConfig
@@ -35,7 +39,6 @@ from repro.service.fleet import (
     OverloadError,
     ShardDispatcher,
 )
-from repro.service.fleet.scoring import shard_best, shard_distances
 from repro.service.fleet.shm import ShardSegment, ShardSpec
 from repro.silicon.chip import PufChip, fabricate_lot
 
@@ -91,16 +94,14 @@ def assert_bit_identical(server, dispatcher, probes):
     replays = [Replay(chip, book.stacked_challenges) for chip in probes]
     reference = server.identify_many(
         replays, n_challenges=N_CHALLENGES, seed=BOOK_SEED,
-        return_scores=True,
     )
-    merged = dispatcher.identify_many(replays, return_scores=True)
+    merged = dispatcher.identify_many(replays)
     assert len(reference) == len(merged)
     for ref, got in zip(reference, merged):
         assert got.coverage == 1.0
         assert got.uncovered_shards == ()
         assert ref.chip_id == got.chip_id
         assert ref.match_fraction == got.match_fraction
-        assert ref.scores == got.scores
 
 
 # ----------------------------------------------------------------------
@@ -204,13 +205,13 @@ class TestBitIdentity:
             assert not dispatcher.refresh()  # already synced
 
     def test_refresh_drains_capped_deferred_backlog(self, chip_pool):
-        """The fleet drains a deferred backlog whole, even when the
-        policy caps each maintenance sync, so a later sync never grows
-        the codebook under the segments."""
+        """The fleet drains a deferred backlog whole (rows the policy
+        would still serve stale), so a later sync never grows the
+        codebook under the segments."""
         lot, records = chip_pool
         ids = sorted(records)
         server = AuthenticationServer(
-            codebook_policy=CodebookPolicy(deferred=True, rebuild_batch=1)
+            codebook_policy=CodebookPolicy(deferred=True)
         )
         for chip_id in ids[:3]:
             server.register(records[chip_id])
@@ -424,31 +425,40 @@ class TestShardSegment:
 
 
 class TestScoring:
+    """The codebook's winner rule as a shard applies it to its slice:
+    chip labels are global row numbers."""
+
     def test_sentinel_masks_inactive_rows(self):
-        distances = np.array([[3, 1, 5], [2, 9, 0]], dtype=np.int64)
+        match = np.array([[0.3, 0.9, 0.1], [0.5, 0.2, 1.0]])
         active = np.array([True, False, True])
-        rows, best = shard_best(distances, active, n_challenges=64)
-        # Row 1 is masked: query 0's winner is row 0 (distance 3),
-        # query 1's is row 2 (distance 0).
-        assert rows.tolist() == [0, 2]
-        assert best.tolist() == [3, 0]
+        results = best_matches(range(4, 7), match, active, 0.25)
+        # Row 5 is masked: request 0's winner is row 4 (0.3), request
+        # 1's is row 6 (1.0).
+        assert [r.chip_id for r in results] == [4, 6]
+        assert [r.match_fraction for r in results] == [0.3, 1.0]
 
     def test_all_inactive_contributes_nothing(self):
-        distances = np.array([[3, 1]], dtype=np.int64)
-        assert shard_best(distances, np.zeros(2, bool), 64) is None
+        match = np.array([[0.3, 1.0]])
+        [result] = best_matches(range(2), match, np.zeros(2, bool), 0.25)
+        assert (result.chip_id, result.match_fraction) == (None, 0.0)
 
     def test_empty_shard_contributes_nothing(self):
-        distances = np.zeros((2, 0), dtype=np.int64)
-        assert shard_best(distances, np.zeros(0, bool), 64) is None
+        match = np.zeros((2, 0))
+        results = best_matches(range(3, 3), match, np.zeros(0, bool), 0.5)
+        assert [(r.chip_id, r.match_fraction) for r in results] == [
+            (None, 0.0), (None, 0.0)
+        ]
 
     def test_first_occurrence_tie_break(self):
-        distances = np.array([[4, 4, 4]], dtype=np.int64)
-        rows, best = shard_best(distances, np.ones(3, bool), 64)
-        assert rows.tolist() == [0]
+        match = np.array([[0.75, 0.75, 0.75]])
+        [result] = best_matches(range(3), match, np.ones(3, bool), 0.5)
+        assert result.chip_id == 0
+        [below] = best_matches(range(3), match, np.ones(3, bool), 0.8)
+        assert (below.chip_id, below.match_fraction) == (None, 0.75)
 
     def test_shard_distances_empty_rows(self):
-        out = shard_distances(
-            np.zeros((3, 0, 8), np.uint8), np.zeros((0, 8), np.uint8)
+        out = packed_match_fractions(
+            np.zeros((3, 0, 8), np.uint8), np.zeros((1, 0, 8), np.uint8), 64
         )
         assert out.shape == (3, 0)
 

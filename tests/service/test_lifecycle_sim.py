@@ -7,11 +7,16 @@ plan is marked ``chaos`` and runs in its own CI job (`pytest -m chaos`).
 from __future__ import annotations
 
 import dataclasses
+import threading
 
 import pytest
 
 from repro.faults import FaultPlan, FaultSpec, Site
-from repro.service import LifecycleConfig, run_lifecycle_sim
+from repro.service import (
+    AuthenticationService,
+    LifecycleConfig,
+    run_lifecycle_sim,
+)
 
 pytestmark = [pytest.mark.service]
 
@@ -87,6 +92,66 @@ class TestLifecycleSmoke:
         assert report.enrolled_total == QUICK.n_chips + 2
         assert report.params["fleet"]["min_coverage"] == 1.0
         assert report.params["identified_misses"] == 0
+        assert report.gates["identified_misses"] == {
+            "value": 0, "bound": 0, "ok": True
+        }
+
+    def test_identification_misses_fail_the_gate(self, monkeypatch):
+        """A plane that names nobody must not pass."""
+        identify_many = AuthenticationService.identify_many
+
+        def unidentified(self, responders, **kwargs):
+            return [
+                dataclasses.replace(result, chip_id=None)
+                for result in identify_many(self, responders, **kwargs)
+            ]
+
+        monkeypatch.setattr(
+            AuthenticationService, "identify_many", unidentified
+        )
+        report = run_lifecycle_sim(QUICK, seed=11)
+        misses = report.params["identified_misses"]
+        assert misses > 0
+        assert report.gates["identified_misses"] == {
+            "value": misses, "bound": 0, "ok": False
+        }
+        assert not report.passed
+
+    def test_crash_mid_run_closes_frontend_and_fleet(self, monkeypatch):
+        """An exception in the serving loop still stops the front-end
+        thread and closes the inline dispatcher."""
+        import repro.service.fleet as fleet
+        import repro.service.lifecycle as lifecycle
+
+        dispatchers = []
+
+        class Recorded(fleet.ShardDispatcher):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                dispatchers.append(self)
+
+        serve = lifecycle.serve
+        calls = []
+
+        def failing_serve(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 3:
+                raise RuntimeError("serving loop died")
+            return serve(*args, **kwargs)
+
+        monkeypatch.setattr(fleet, "ShardDispatcher", Recorded)
+        monkeypatch.setattr(lifecycle, "serve", failing_serve)
+        config = dataclasses.replace(QUICK, sharded=True, clients=2)
+        before = set(threading.enumerate())
+        with pytest.raises(RuntimeError, match="serving loop died"):
+            run_lifecycle_sim(config, seed=11)
+        assert not [
+            thread for thread in set(threading.enumerate()) - before
+            if thread.name == "repro-frontend"
+        ]
+        [dispatcher] = dispatchers
+        with pytest.raises(RuntimeError, match="closed"):
+            dispatcher.identify_many([object()])
 
 
 @pytest.mark.chaos

@@ -16,6 +16,7 @@ authentication sessions), so everything shares one session-scoped run.
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -132,6 +133,20 @@ class TestServeSimAcceptance:
         assert gates["no_replay"]["ok"] is report.no_replay
         assert report.passed == all(g["ok"] for g in gates.values())
         assert json.loads(report_path.read_text())["gates"] == gates
+
+
+def test_unmeasured_phases_fail_their_gates():
+    """With its only chip faulted, no healthy request is scored: the
+    phase metrics read NaN, and nothing measured must not pass."""
+    report = run_serve_sim(
+        n_chips=1, fault_chip=0, nominal_steps=4, ramp_steps=1,
+        corner_steps=4, return_steps=1,
+    )
+    assert math.isnan(report.nominal_frr)
+    assert math.isnan(report.corner_availability)
+    assert not report.gates["nominal_frr"]["ok"]
+    assert not report.gates["corner_availability"]["ok"]
+    assert not report.passed
 
 
 class TestServeSimConcurrentClients:

@@ -6,6 +6,9 @@ breaker cooldowns, rate-limit windows and device failures are exact.
 
 from __future__ import annotations
 
+import gc
+import sys
+
 import numpy as np
 import pytest
 
@@ -462,6 +465,67 @@ class TestBatchedServing:
         events = service.audit.with_outcome(AuthOutcome.IDENTIFIED)
         assert len(events) == 2
         assert all(e.detail.endswith("across 2 identities") for e in events)
+
+
+def python_calls(fn) -> int:
+    """Python-level function calls made by *fn()* on this thread.
+
+    The garbage collector is held off so finalizers of unrelated
+    objects cannot land inside the count.
+    """
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    gc.collect()
+    gc.disable()
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+    return calls
+
+
+class TestRequestPathIsIndependentOfN:
+    def test_python_call_count_equal_at_64_and_1024(self):
+        """Per-request cost may grow with N only inside the scoring
+        kernel: no Python-level loop over identities on either path."""
+        import dataclasses
+
+        from repro.core.enrollment import enroll_chip
+        from repro.silicon.chip import PufChip
+
+        chip = PufChip.create(2, 32, seed=41, chip_id="chip-0000")
+        record = enroll_chip(
+            chip, n_enroll_challenges=600, n_validation_challenges=2000,
+            seed=42,
+        )
+        counts = []
+        for n_ids in (64, 1024):
+            server = AuthenticationServer({
+                f"chip-{i:04d}": dataclasses.replace(
+                    record, chip_id=f"chip-{i:04d}"
+                )
+                for i in range(n_ids)
+            })
+            service = AuthenticationService(
+                server,
+                ServiceConfig(max_requests_per_window=0, lockout_threshold=0),
+                seed=7, clock=VirtualClock(),
+            )
+            # Warm up: build the codebook and the chip's serving state.
+            service.identify_many([chip])
+            service.authenticate(chip)
+            counts.append((
+                python_calls(lambda: service.identify_many([chip])),
+                python_calls(lambda: service.authenticate(chip)),
+            ))
+        assert counts[0] == counts[1]
 
 
 class TestRetighteningCommit:
